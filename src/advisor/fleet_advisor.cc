@@ -1,6 +1,7 @@
 #include "advisor/fleet_advisor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <map>
@@ -41,13 +42,21 @@ std::vector<int> FirstFitDecreasingPolicy::Place(
     const PlacementInput& input) const {
   const int t = input.num_tenants();
   const int p = input.num_machines;
+  // A non-finite demand (NaN from an unpriceable tenant) reads as +inf:
+  // such a tenant fits nowhere and every comparison stays a strict weak
+  // order, so the sorts below are well defined.
+  auto demand = [&](int i, int m) {
+    double d = input.demand[static_cast<size_t>(i)][static_cast<size_t>(m)];
+    return std::isfinite(d) ? d : std::numeric_limits<double>::infinity();
+  };
 
   // Decreasing order of intrinsic demand (the tenant's cost on its best
   // machine); stable sort + index tie-break keeps placement deterministic.
   std::vector<double> best(static_cast<size_t>(t));
   for (int i = 0; i < t; ++i) {
-    const auto& row = input.demand[static_cast<size_t>(i)];
-    best[static_cast<size_t>(i)] = *std::min_element(row.begin(), row.end());
+    double b = demand(i, 0);
+    for (int m = 1; m < p; ++m) b = std::min(b, demand(i, m));
+    best[static_cast<size_t>(i)] = b;
   }
   std::vector<int> order(static_cast<size_t>(t));
   std::iota(order.begin(), order.end(), 0);
@@ -59,18 +68,14 @@ std::vector<int> FirstFitDecreasingPolicy::Place(
   std::vector<int> assignment(static_cast<size_t>(t), 0);
   std::vector<int> machine_order(static_cast<size_t>(p));
   for (int i : order) {
-    const auto& row = input.demand[static_cast<size_t>(i)];
     // "First fit" scans machines cheapest-for-this-tenant first, so a
     // shipping-heavy tenant tries the net-fast box before anything else.
     std::iota(machine_order.begin(), machine_order.end(), 0);
     std::stable_sort(machine_order.begin(), machine_order.end(),
-                     [&](int a, int b) {
-                       return row[static_cast<size_t>(a)] <
-                              row[static_cast<size_t>(b)];
-                     });
+                     [&](int a, int b) { return demand(i, a) < demand(i, b); });
     int chosen = -1;
     for (int m : machine_order) {
-      if (load[static_cast<size_t>(m)] + row[static_cast<size_t>(m)] <=
+      if (load[static_cast<size_t>(m)] + demand(i, m) <=
           input.capacity[static_cast<size_t>(m)] + kFleetEpsilon) {
         chosen = m;
         break;
@@ -79,18 +84,20 @@ std::vector<int> FirstFitDecreasingPolicy::Place(
     if (chosen < 0) {
       // Nothing fits: overflow into the machine with the least loaded
       // outcome (bins have no hard limit — overfull just means slower).
-      double best_load = std::numeric_limits<double>::infinity();
-      for (int m = 0; m < p; ++m) {
-        double projected =
-            load[static_cast<size_t>(m)] + row[static_cast<size_t>(m)];
+      // Machine 0 is the fallback when every projection is +inf.
+      chosen = 0;
+      double best_load = load[0] + demand(i, 0);
+      for (int m = 1; m < p; ++m) {
+        double projected = load[static_cast<size_t>(m)] + demand(i, m);
         if (projected < best_load - kFleetEpsilon) {
           best_load = projected;
           chosen = m;
         }
       }
     }
+    VDBA_CHECK(chosen >= 0 && chosen < p);
     assignment[static_cast<size_t>(i)] = chosen;
-    load[static_cast<size_t>(chosen)] += row[static_cast<size_t>(chosen)];
+    load[static_cast<size_t>(chosen)] += demand(i, chosen);
   }
   return assignment;
 }

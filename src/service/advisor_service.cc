@@ -77,6 +77,29 @@ std::string TenantProblem(const Tenant& bound) {
   return {};
 }
 
+/// Why `workload` cannot be priced, or empty when it can. A NaN or negative
+/// statement frequency would poison the tenant's demand row and every
+/// objective summed from it, so it is refused before it reaches a machine.
+std::string WorkloadProblem(const simdb::Workload& workload) {
+  for (size_t s = 0; s < workload.statements.size(); ++s) {
+    const double f = workload.statements[s].frequency;
+    if (!std::isfinite(f) || f < 0.0) {
+      return "statement " + std::to_string(s) + " has frequency " +
+             std::to_string(f) + " (must be finite and non-negative)";
+    }
+  }
+  return {};
+}
+
+/// A future already resolved with a refusal.
+std::future<EventOutcome> Refused(std::string error) {
+  std::promise<EventOutcome> done;
+  EventOutcome outcome;
+  outcome.error = std::move(error);
+  done.set_value(std::move(outcome));
+  return done.get_future();
+}
+
 }  // namespace
 
 std::vector<int> AdvisorService::MachineState::OccupiedSlots() const {
@@ -146,6 +169,8 @@ std::future<EventOutcome> AdvisorService::Enqueue(Event event) {
 
 std::future<EventOutcome> AdvisorService::SubmitArrival(
     advisor::Tenant tenant) {
+  std::string problem = WorkloadProblem(tenant.workload);
+  if (!problem.empty()) return Refused("arrival refused: " + problem);
   Event event;
   event.kind = EventKind::kArrival;
   event.tenant = std::move(tenant);
@@ -161,6 +186,8 @@ std::future<EventOutcome> AdvisorService::SubmitDeparture(int tenant_id) {
 
 std::future<EventOutcome> AdvisorService::SubmitDrift(
     int tenant_id, simdb::Workload workload) {
+  std::string problem = WorkloadProblem(workload);
+  if (!problem.empty()) return Refused("drift refused: " + problem);
   Event event;
   event.kind = EventKind::kDrift;
   event.tenant_id = tenant_id;

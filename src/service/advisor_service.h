@@ -173,7 +173,9 @@ class AdvisorService {
   /// CLASS — see SameMachineClass), inserted into that machine's resident
   /// estimator (reusing a departed tenant's slot when one is free), and
   /// the machine is warm-repaired from the incumbent allocation with the
-  /// incumbents scaled k/(k+1) to fund the newcomer's seed share.
+  /// incumbents scaled k/(k+1) to fund the newcomer's seed share. A
+  /// workload with a non-finite or negative statement frequency is refused
+  /// at once (ok=false, fleet untouched) without entering the queue.
   std::future<EventOutcome> SubmitArrival(advisor::Tenant tenant);
 
   /// Tenant departure: frees the slot, invalidates ONLY that tenant's
@@ -184,7 +186,8 @@ class AdvisorService {
   /// Workload drift: swaps the tenant's workload (targeted invalidation
   /// via SetWorkload — every other tenant's cache stays warm) and
   /// warm-repairs its machine from the incumbent. A drift to an
-  /// identical workload returns the incumbent bit-identical.
+  /// identical workload returns the incumbent bit-identical. Refused at
+  /// once, like SubmitArrival, on a non-finite or negative frequency.
   std::future<EventOutcome> SubmitDrift(int tenant_id,
                                         simdb::Workload workload);
 

@@ -27,6 +27,7 @@ int IndexDef::HeightForRows(double rows) {
 TableId Catalog::AddTable(TableDef table) {
   VDBA_CHECK_GT(table.rows, 0.0);
   VDBA_CHECK_GT(table.row_width_bytes, 0.0);
+  VDBA_CHECK_LT(tables_.size(), kMaxCatalogIds);
   tables_.push_back(std::move(table));
   return static_cast<TableId>(tables_.size() - 1);
 }
@@ -34,6 +35,7 @@ TableId Catalog::AddTable(TableDef table) {
 IndexId Catalog::AddIndex(IndexDef index) {
   VDBA_CHECK_GE(index.table, 0);
   VDBA_CHECK_LT(static_cast<size_t>(index.table), tables_.size());
+  VDBA_CHECK_LT(indexes_.size(), kMaxCatalogIds);
   indexes_.push_back(std::move(index));
   return static_cast<IndexId>(indexes_.size() - 1);
 }

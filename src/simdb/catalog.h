@@ -49,16 +49,21 @@ struct IndexDef {
   static int HeightForRows(double rows);
 };
 
+/// Plan nodes record their working set as 64-bit masks over table ids and
+/// over index ids (PlanNode::table_mask / index_mask), so a catalog holds
+/// at most this many tables and this many indexes.
+inline constexpr size_t kMaxCatalogIds = 64;
+
 /// An immutable collection of tables and indexes. Engines hold a Catalog
 /// per database instance (e.g. TPC-H SF1, TPC-H SF10, TPC-C 10wh).
 class Catalog {
  public:
   Catalog() = default;
 
-  /// Registers a table; returns its id.
+  /// Registers a table; returns its id (below kMaxCatalogIds).
   TableId AddTable(TableDef table);
 
-  /// Registers an index; returns its id.
+  /// Registers an index; returns its id (below kMaxCatalogIds).
   IndexId AddIndex(IndexDef index);
 
   const TableDef& table(TableId id) const;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -134,12 +133,14 @@ class PlanSearch {
     node->output_rows = cards_.BaseRows(rel_index);
     node->output_width_bytes = cards_.RowWidth(1u << rel_index);
     node->op = PlanOp::kSeqScan;
+    SealPlanNode(node);
     if (!force_seq && !rel.index_column.empty()) {
       IndexId idx = catalog_.FindIndex(rel.table, rel.index_column);
       if (idx != kInvalidIndex) {
         PlanNode* index_scan = arena_.New(*node);
         index_scan->op = PlanOp::kIndexScan;
         index_scan->index = idx;
+        SealPlanNode(index_scan);
         // Pick the cheaper access path.
         if (CostOf(*index_scan) < CostOf(*node)) return index_scan;
       }
@@ -156,6 +157,7 @@ class PlanSearch {
     node->right = right;
     node->output_rows = cards_.SubsetRows(mask);
     node->output_width_bytes = cards_.RowWidth(mask);
+    SealPlanNode(node);
     return node;
   }
 
@@ -165,6 +167,7 @@ class PlanSearch {
     node->output_rows = child->output_rows;
     node->output_width_bytes = child->output_width_bytes;
     node->left = child;
+    SealPlanNode(node);
     return node;
   }
 
@@ -244,6 +247,7 @@ class PlanSearch {
     node->inner_index = idx;
     node->output_rows = cards_.SubsetRows(mask);
     node->output_width_bytes = cards_.RowWidth(mask);
+    SealPlanNode(node);
     return node;
   }
 
@@ -264,6 +268,7 @@ class PlanSearch {
       node->output_rows = cards_.RowsAfterAggregate();
       node->output_width_bytes = agg.group_row_width;
       node->left = input;
+      SealPlanNode(node);
       return node;
     };
 
@@ -283,6 +288,7 @@ class PlanSearch {
     node->output_rows = child->output_rows;
     node->output_width_bytes = query_.order_by.row_width;
     node->left = child;
+    SealPlanNode(node);
     return node;
   }
 
@@ -294,6 +300,7 @@ class PlanSearch {
     node->output_rows = child->output_rows;
     node->output_width_bytes = child->output_width_bytes;
     node->left = child;
+    SealPlanNode(node);
     return node;
   }
 
@@ -310,6 +317,7 @@ class PlanSearch {
     node->extra_ops_per_row = query_.extra_ops_per_row;
     node->ship_fraction = query_.ship_fraction;
     node->left = child;
+    SealPlanNode(node);
     return node;
   }
 
@@ -443,17 +451,20 @@ class PlanGridSearch {
 
   // --- node builders (field-for-field mirrors of PlanSearch) ---------------
 
+  /// Sort fields derive from the child alone, so one node, kept in the
+  /// child's sort_parent slot, serves every split / member that sorts the
+  /// same subplan.
   const PlanNode* SortOf(const PlanNode* child) {
-    auto [it, inserted] = sort_memo_.try_emplace(child, nullptr);
-    if (inserted) {
+    if (child->sort_parent == nullptr) {
       PlanNode* node = arena_->New();
       node->op = PlanOp::kSort;
       node->output_rows = child->output_rows;
       node->output_width_bytes = child->output_width_bytes;
       node->left = child;
-      it->second = node;
+      SealPlanNode(node);
+      child->sort_parent = node;
     }
-    return it->second;
+    return child->sort_parent;
   }
 
   PlanNode* NewScanNode(int rel_index) {
@@ -466,6 +477,7 @@ class PlanGridSearch {
     node->output_rows = cards_.BaseRows(rel_index);
     node->output_width_bytes = cards_.RowWidth(1u << rel_index);
     node->op = PlanOp::kSeqScan;
+    SealPlanNode(node);
     return node;
   }
 
@@ -493,6 +505,7 @@ class PlanGridSearch {
         PlanNode* node = arena_->New(*seq);
         node->op = PlanOp::kIndexScan;
         node->index = idx;
+        SealPlanNode(node);
         index_scan = node;
         Activity ix_act = ComputeActivity(catalog_, *node, mem_, nullptr);
         pricer_->Price(ix_act, row2_);
@@ -527,6 +540,7 @@ class PlanGridSearch {
         node->right = r;
         node->output_rows = cards_.SubsetRows(mask);
         node->output_width_bytes = cards_.RowWidth(mask);
+        SealPlanNode(node);
         return node;
       });
       ConsiderOne(entry, k, cand_nodes_[c], cand_costs_[c * k_ + k]);
@@ -549,6 +563,7 @@ class PlanGridSearch {
         node->inner_index = idx;
         node->output_rows = cards_.SubsetRows(mask);
         node->output_width_bytes = cards_.RowWidth(mask);
+        SealPlanNode(node);
         return node;
       });
       ConsiderOne(entry, k, cand_nodes_[c], cand_costs_[c * k_ + k]);
@@ -629,6 +644,7 @@ class PlanGridSearch {
       node->output_rows = cards_.RowsAfterAggregate();
       node->output_width_bytes = agg.group_row_width;
       node->left = input;
+      SealPlanNode(node);
       return node;
     };
 
@@ -675,6 +691,7 @@ class PlanGridSearch {
       node->output_rows = child->output_rows;
       node->output_width_bytes = query_.order_by.row_width;
       node->left = child;
+      SealPlanNode(node);
       return node;
     });
   }
@@ -688,6 +705,7 @@ class PlanGridSearch {
       node->output_rows = child->output_rows;
       node->output_width_bytes = child->output_width_bytes;
       node->left = child;
+      SealPlanNode(node);
       return node;
     });
   }
@@ -706,6 +724,7 @@ class PlanGridSearch {
       node->extra_ops_per_row = query_.extra_ops_per_row;
       node->ship_fraction = query_.ship_fraction;
       node->left = child;
+      SealPlanNode(node);
       return node;
     });
   }
@@ -736,9 +755,6 @@ class PlanGridSearch {
   std::vector<double> row_;           ///< Pricing scratch (size k_).
   std::vector<double> row2_;
 
-  /// Sort-above-child memo: Sort fields derive from the child alone, so
-  /// one node serves every split / member that sorts the same subplan.
-  std::unordered_map<const PlanNode*, const PlanNode*> sort_memo_;
   /// Per-relation force-seq inner scans (member-independent).
   std::vector<const PlanNode*> inner_scans_;
 

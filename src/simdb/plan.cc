@@ -1,6 +1,6 @@
 #include "simdb/plan.h"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -306,15 +306,6 @@ class ActivityWalker {
   double cold_miss_ = 1.0;
 };
 
-void CollectWorkingSet(const PlanNode& node, std::vector<TableId>* tables,
-                       std::vector<IndexId>* indexes) {
-  if (node.table != kInvalidTable) tables->push_back(node.table);
-  if (node.index != kInvalidIndex) indexes->push_back(node.index);
-  if (node.inner_index != kInvalidIndex) indexes->push_back(node.inner_index);
-  if (node.left != nullptr) CollectWorkingSet(*node.left, tables, indexes);
-  if (node.right != nullptr) CollectWorkingSet(*node.right, tables, indexes);
-}
-
 }  // namespace
 
 const char* PlanOpName(PlanOp op) {
@@ -349,8 +340,30 @@ Activity& Activity::operator+=(const Activity& other) {
   return *this;
 }
 
+void SealPlanNode(PlanNode* node) {
+  // Catalog ids are below kMaxCatalogIds; re-checked here because a
+  // hand-built node may carry any id, and a wider shift is undefined.
+  auto bit = [](int32_t id) {
+    VDBA_CHECK_LT(static_cast<uint32_t>(id), kMaxCatalogIds);
+    return uint64_t{1} << id;
+  };
+  uint64_t tables = 0;
+  uint64_t indexes = 0;
+  if (node->table != kInvalidTable) tables |= bit(node->table);
+  if (node->index != kInvalidIndex) indexes |= bit(node->index);
+  if (node->inner_index != kInvalidIndex) indexes |= bit(node->inner_index);
+  for (const PlanNode* child : {node->left, node->right}) {
+    if (child == nullptr) continue;
+    tables |= child->table_mask;
+    indexes |= child->index_mask;
+  }
+  node->table_mask = tables;
+  node->index_mask = indexes;
+}
+
 const PlanNode* ClonePlan(const PlanNode& root, PlanArena* arena) {
   PlanNode* copy = arena->New(root);
+  copy->sort_parent = nullptr;
   if (root.left != nullptr) copy->left = ClonePlan(*root.left, arena);
   if (root.right != nullptr) copy->right = ClonePlan(*root.right, arena);
   return copy;
@@ -375,19 +388,15 @@ Activity ComputeActivity(const Catalog& catalog, const PlanNode& plan,
 }
 
 double PlanWorkingSetBytes(const Catalog& catalog, const PlanNode& plan) {
-  // Dedup via sort+unique rather than std::set: ascending iteration (and
-  // therefore the floating-point summation order) is identical, without
-  // per-insert node allocations on the costing hot path.
-  std::vector<TableId> tables;
-  std::vector<IndexId> indexes;
-  CollectWorkingSet(plan, &tables, &indexes);
-  std::sort(tables.begin(), tables.end());
-  tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
-  std::sort(indexes.begin(), indexes.end());
-  indexes.erase(std::unique(indexes.begin(), indexes.end()), indexes.end());
+  // Ascending bit order is ascending id order, so the floating-point
+  // summation order matches a sorted, deduplicated walk of the subtree.
   double bytes = 0.0;
-  for (TableId t : tables) bytes += catalog.table(t).Pages() * kPageSizeBytes;
-  for (IndexId i : indexes) bytes += catalog.IndexLeafPages(i) * kPageSizeBytes;
+  for (uint64_t m = plan.table_mask; m != 0; m &= m - 1) {
+    bytes += catalog.table(std::countr_zero(m)).Pages() * kPageSizeBytes;
+  }
+  for (uint64_t m = plan.index_mask; m != 0; m &= m - 1) {
+    bytes += catalog.IndexLeafPages(std::countr_zero(m)) * kPageSizeBytes;
+  }
   return bytes;
 }
 

@@ -13,9 +13,17 @@
 // arena alive through one shared_ptr at the root (AdoptPlan), so readers —
 // optimizer, executor, cost models — traverse raw pointers with no
 // per-node reference counting.
+//
+// Seal contract: every node builder calls SealPlanNode() once the node's
+// own fields and children are set. Sealing ORs the node's own table/index
+// ids with its children's masks, so a node carries the working set of its
+// whole subtree and costing never re-walks it. ClonePlan() keeps the masks
+// (a copied subtree is the same subtree) and clears the sort_parent slot,
+// which belongs to the search that owns the source arena.
 #ifndef VDBA_SIMDB_PLAN_H_
 #define VDBA_SIMDB_PLAN_H_
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -50,7 +58,7 @@ struct PlanNode;
 /// that owns every node of the tree (see AdoptPlan).
 using PlanPtr = std::shared_ptr<const PlanNode>;
 
-/// One node of a physical plan. Immutable once built (shared by the
+/// One node of a physical plan. Immutable once sealed (shared by the
 /// optimizer's dynamic-programming memo). Children are non-owning: the
 /// arena the node was allocated from owns them.
 struct PlanNode {
@@ -90,7 +98,24 @@ struct PlanNode {
   // Cardinality of this node's output.
   double output_rows = 0.0;
   double output_width_bytes = 48.0;
+
+  // Working set of the subtree, set by SealPlanNode: bit t of table_mask
+  // for every TableId t, bit i of index_mask for every IndexId i (scan and
+  // inner indexes) referenced at or below this node.
+  uint64_t table_mask = 0;
+  uint64_t index_mask = 0;
+
+  /// The Sort node a grid search built over this node, so every split and
+  /// member that sorts the same subplan shares one node. Written only by
+  /// the search that owns this node's arena, before any plan is published;
+  /// ClonePlan clears it.
+  mutable const PlanNode* sort_parent = nullptr;
 };
+
+/// Sets `node`'s table/index masks from its own table, index and
+/// inner_index and its children's masks. Call once the node's fields and
+/// children are final; children must be sealed first.
+void SealPlanNode(PlanNode* node);
 
 /// Arena owning PlanNodes: contiguous StructPool slabs by default;
 /// `pooled = false` allocates one chunk per node (the benches' heap-backed
@@ -102,7 +127,8 @@ class PlanArena {
 
   /// Default-constructed node, owned by this arena.
   PlanNode* New() { return pool_.New(); }
-  /// Field-copy of `src` (children pointers included), owned by this arena.
+  /// Field-copy of `src` (children pointers, masks and sort_parent
+  /// included), owned by this arena.
   PlanNode* New(const PlanNode& src) { return pool_.New(src); }
 
   size_t size() const { return pool_.size(); }
@@ -112,6 +138,7 @@ class PlanArena {
 };
 
 /// Deep-copies the tree under `root` into `arena`; returns the new root.
+/// The copies keep their masks and have a null sort_parent.
 const PlanNode* ClonePlan(const PlanNode& root, PlanArena* arena);
 
 /// Owning root handle: keeps `arena` alive for as long as any copy of the
@@ -163,7 +190,8 @@ Activity ComputeActivity(const Catalog& catalog, const PlanNode& plan,
                          const MemoryContext& mem, std::string* signature);
 
 /// Total bytes of tables and index structures referenced by the plan; this
-/// is the working set used for buffer-residency discounts.
+/// is the working set used for buffer-residency discounts. Reads the sealed
+/// masks, summing tables then indexes in ascending id order.
 double PlanWorkingSetBytes(const Catalog& catalog, const PlanNode& plan);
 
 }  // namespace vdba::simdb

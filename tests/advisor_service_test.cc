@@ -8,9 +8,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <limits>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -333,6 +335,56 @@ TEST(AdvisorServiceTest, InvalidEventsAreRefusedWithoutStateDamage) {
   EXPECT_DOUBLE_EQ(after.objective, before.objective);
   // Refused events still count as handled (they went through the loop).
   EXPECT_EQ(after.events_handled, before.events_handled + 3);
+}
+
+TEST(AdvisorServiceTest, UnpriceableFrequenciesAreRefusedAtSubmission) {
+  // Regression: a NaN frequency used to reach FirstFitDecreasingPolicy as
+  // a NaN demand row and write out of bounds; the nightly ASan job runs
+  // this suite. Default options keep migration armed on a two-machine
+  // fleet, the configuration that reached the overflow.
+  scenario::Testbed& tb = TB();
+  std::vector<FleetMachine> machines(
+      2, FleetMachine{tb.machine(), &tb.pg_calibration(),
+                      &tb.db2_calibration()});
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ServiceOptions options;
+    options.workers = workers;
+    AdvisorService service(machines, options);
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(service.SubmitArrival(ServiceTenant(i)).get().ok);
+    }
+    FleetSnapshot before = service.Snapshot();
+
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(), -1.0}) {
+      Tenant tenant = ServiceTenant(2);
+      tenant.workload.statements.back().frequency = bad;
+      EventOutcome arrival = service.SubmitArrival(tenant).get();
+      EXPECT_FALSE(arrival.ok);
+      EXPECT_NE(arrival.error.find("frequency"), std::string::npos)
+          << arrival.error;
+      EventOutcome drift = service.SubmitDrift(0, tenant.workload).get();
+      EXPECT_FALSE(drift.ok);
+      EXPECT_NE(drift.error.find("frequency"), std::string::npos)
+          << drift.error;
+    }
+
+    // Refused at submission: nothing entered the queue or touched state.
+    FleetSnapshot after = service.Snapshot();
+    EXPECT_EQ(after.assignment, before.assignment);
+    EXPECT_EQ(after.allocations, before.allocations);
+    EXPECT_EQ(after.objective, before.objective);
+    EXPECT_EQ(after.events_handled, before.events_handled);
+
+    // A zero frequency is a valid (idle) statement, and the service
+    // keeps serving valid events with a finite objective.
+    Tenant idle = ServiceTenant(2);
+    idle.workload.AddStatement(idle.workload.statements.front().query, 0.0);
+    EventOutcome ok = service.SubmitArrival(idle).get();
+    ASSERT_TRUE(ok.ok) << ok.error;
+    EXPECT_TRUE(std::isfinite(ok.objective));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace vdba::simdb {
 namespace {
 
@@ -68,6 +70,22 @@ TEST(CatalogTest, TotalPagesSumsTables) {
   cat.AddTable(MakeTable("a", 70000, 81.92));   // ~1000 pages
   cat.AddTable(MakeTable("b", 140000, 81.92));  // ~2000 pages
   EXPECT_NEAR(cat.TotalPages(), 3000.0, 5.0);
+}
+
+TEST(CatalogTest, AcceptsSixtyFourTablesAndIndexes) {
+  // Plan working sets are 64-bit id masks: ids 0..63 must all be usable.
+  Catalog cat;
+  for (size_t i = 0; i < kMaxCatalogIds; ++i) {
+    TableId t = cat.AddTable(MakeTable(std::to_string(i), 1000, 100));
+    EXPECT_EQ(t, static_cast<TableId>(i));
+    IndexDef idx{.name = std::to_string(i), .table = t, .column = "pk"};
+    EXPECT_EQ(cat.AddIndex(idx), static_cast<IndexId>(i));
+  }
+  EXPECT_EQ(cat.num_tables(), 64u);
+  EXPECT_EQ(cat.num_indexes(), 64u);
+  EXPECT_DEATH(cat.AddTable(MakeTable("t64", 1000, 100)), "");
+  IndexDef extra{.name = "ix64", .table = 0, .column = "pk"};
+  EXPECT_DEATH(cat.AddIndex(extra), "");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "advisor/advisor.h"
@@ -63,6 +64,29 @@ TEST(FirstFitDecreasingTest, CapacitySpreadsLoadAndOverflowIsLeastLoaded) {
   EXPECT_EQ(got[1], 1);  // second no longer fits on 0, fits on 1
   // Third fits nowhere: projected loads are 16 on machine 0 vs 18 on 1.
   EXPECT_EQ(got[2], 0);
+}
+
+TEST(FirstFitDecreasingTest, NonFiniteDemandPlacesInRange) {
+  // Regression: an all-NaN demand row used to leave the overflow branch
+  // with chosen = -1 and write load[-1] (a heap overflow under ASan).
+  // Non-finite demand now reads as +inf: the row fits nowhere and falls
+  // back to machine 0, and finite tenants still see honest loads.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  PlacementInput input;
+  input.num_machines = 2;
+  input.demand = {{nan, nan}, {8.0, 9.0}, {nan, 3.0}, {inf, -inf}};
+  input.capacity = {10.0, 10.0};
+  std::vector<int> got = FirstFitDecreasingPolicy().Place(input);
+  ASSERT_EQ(got.size(), 4u);
+  for (int m : got) {
+    EXPECT_GE(m, 0);
+    EXPECT_LT(m, input.num_machines);
+  }
+  EXPECT_EQ(got[0], 0);  // every projection is +inf: machine 0
+  EXPECT_EQ(got[1], 1);  // machine 0 now holds +inf load
+  EXPECT_EQ(got[2], 1);  // overflows to its only finite projection (12)
+  EXPECT_EQ(got[3], 0);  // -inf reads as +inf too: the fallback machine
 }
 
 TEST(RoundRobinTest, DealsTenantsModuloMachines) {

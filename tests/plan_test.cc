@@ -35,6 +35,7 @@ PlanNode* MakeScan(PlanArena* arena, const Catalog& cat, TableId table,
   node->num_predicates = npreds;
   node->output_rows = cat.table(table).rows * sel;
   node->output_width_bytes = cat.table(table).row_width_bytes * 0.5;
+  SealPlanNode(node);
   return node;
 }
 
@@ -80,6 +81,7 @@ TEST(PlanActivityTest, SortSpillsBelowMemoryThreshold) {
   sort->left = MakeScan(&arena, cat, 0);  // 1M rows x 50B = 50 MB to sort
   sort->output_rows = sort->left->output_rows;
   sort->output_width_bytes = sort->left->output_width_bytes;
+  SealPlanNode(sort);
 
   MemoryContext big = BigBuffer();  // 64 MB work_mem: in-memory
   std::string sig_big;
@@ -104,6 +106,7 @@ TEST(PlanActivityTest, SortMemBoostAvoidsSpill) {
   sort->left = MakeScan(&arena, cat, 0);
   sort->output_rows = sort->left->output_rows;
   sort->output_width_bytes = sort->left->output_width_bytes;
+  SealPlanNode(sort);
 
   MemoryContext mem = BigBuffer();
   mem.work_mem_bytes = 20 * kMb;  // 50 MB sort would spill...
@@ -122,6 +125,7 @@ TEST(PlanActivityTest, ModeledSortCapLimitsEstimatedBenefit) {
   sort->left = MakeScan(&arena, cat, 0);
   sort->output_rows = sort->left->output_rows;
   sort->output_width_bytes = sort->left->output_width_bytes;
+  SealPlanNode(sort);
 
   MemoryContext mem = BigBuffer();
   mem.work_mem_bytes = 500 * kMb;                 // plenty of real memory
@@ -139,6 +143,7 @@ TEST(PlanActivityTest, HashJoinBatchesTrackMemory) {
   join->right = MakeScan(&arena, cat, 1);  // build: 10000 x 25B
   join->output_rows = 1000000;
   join->output_width_bytes = 75;
+  SealPlanNode(join);
 
   MemoryContext roomy = BigBuffer();
   std::string sig_roomy;
@@ -165,6 +170,7 @@ TEST(PlanActivityTest, IndexNestLoopChargesPerProbe) {
   join->inner_rows_per_probe = 3.0;
   join->output_rows = 30000;
   join->output_width_bytes = 75;
+  SealPlanNode(join);
 
   MemoryContext cold;
   cold.buffer_bytes = 0.0;
@@ -187,6 +193,7 @@ TEST(PlanActivityTest, ResultNodeCountsReturnedRows) {
   result->left = MakeScan(&arena, cat, 1);
   result->output_rows = 10000;
   result->extra_ops_per_row = 2.0;
+  SealPlanNode(result);
   Activity act = ComputeActivity(cat, *result, BigBuffer(), nullptr);
   EXPECT_NEAR(act.rows_returned, 10000.0, 1e-9);
   EXPECT_NEAR(act.op_evals, 20000.0, 1e-9);
@@ -202,6 +209,7 @@ TEST(PlanActivityTest, UpdateChargesWritesAndLog) {
   update->update.index_touches_per_row = 2.0;
   update->update.log_bytes_per_row = 100.0;
   update->output_rows = 100;
+  SealPlanNode(update);
   Activity act = ComputeActivity(cat, *update, BigBuffer(), nullptr);
   EXPECT_GT(act.write_pages, 0.0);
   EXPECT_NEAR(act.log_bytes, 10000.0, 1e-9);
@@ -216,6 +224,7 @@ TEST(PlanActivityTest, WorkingSetCountsDistinctTables) {
   join->left = MakeScan(&arena, cat, 0);
   join->right = MakeScan(&arena, cat, 0);  // self join: table counted once
   join->output_rows = 1;
+  SealPlanNode(join);
   double ws = PlanWorkingSetBytes(cat, *join);
   EXPECT_NEAR(ws, cat.table(0).Pages() * kPageSizeBytes, 1.0);
 }
@@ -229,6 +238,7 @@ TEST(PlanCloneTest, ClonePreservesStructureAndAdoptKeepsArenaAlive) {
   join->right = MakeScan(&scratch, cat, 1);
   join->output_rows = 1000;
   join->output_width_bytes = 75;
+  SealPlanNode(join);
 
   MemoryContext mem = BigBuffer();
   std::string sig_orig;
