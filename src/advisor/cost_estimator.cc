@@ -49,6 +49,10 @@ WhatIfCostEstimator::WhatIfCostEstimator(const simvm::PhysicalMachine& machine,
   VDBA_CHECK_GT(options_.cache_granularity, 0.0);
   for (const Tenant& t : tenants_) ValidateTenant(t);
   observations_.resize(tenants_.size());
+  cache_shards_.reserve(tenants_.size());
+  for (size_t i = 0; i < tenants_.size(); ++i) {
+    cache_shards_.push_back(std::make_unique<CacheShard>());
+  }
 }
 
 WhatIfCostEstimator::~WhatIfCostEstimator() = default;
@@ -379,21 +383,15 @@ void WhatIfCostEstimator::InvalidateTenant(int tenant) {
     observations_[static_cast<size_t>(tenant)].clear();
   }
   // Drop exactly this tenant's cache entries; other tenants stay warm.
-  for (CacheShard& shard : cache_shards_) {
-    std::unique_lock lock(shard.mu);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      if (it->first.tenant == tenant) {
-        it = shard.map.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  CacheShard& shard = *cache_shards_[static_cast<size_t>(tenant)];
+  std::unique_lock lock(shard.mu);
+  shard.map.clear();
 }
 
 int WhatIfCostEstimator::AddTenant(Tenant tenant) {
   ValidateTenant(tenant);
   tenants_.push_back(std::move(tenant));
+  cache_shards_.push_back(std::make_unique<CacheShard>());
   {
     std::lock_guard lock(observations_mu_);
     observations_.emplace_back();

@@ -131,10 +131,10 @@ struct WhatIfEstimatorOptions {
 ///
 /// Thread safety: concurrent EstimateSeconds / EstimateBatch /
 /// EstimateMany calls from multiple threads are safe — the cache is
-/// sharded under reader-writer locks, the observation log and counters
-/// are internally synchronized, and the what-if computation itself is
-/// pure. SetWorkload and mutable_tenant are NOT safe concurrently with
-/// estimation.
+/// partitioned by tenant under reader-writer locks, the observation log
+/// and counters are internally synchronized, and the what-if computation
+/// itself is pure. SetWorkload and mutable_tenant are NOT safe concurrently
+/// with estimation.
 class WhatIfCostEstimator : public CostEstimator {
  public:
   WhatIfCostEstimator(const simvm::PhysicalMachine& machine,
@@ -193,9 +193,11 @@ class WhatIfCostEstimator : public CostEstimator {
   /// not cost the whole fleet its what-if cache. SetWorkload routes
   /// through it.
   ///
-  /// Safe concurrently with estimation of OTHER tenants: eviction takes
-  /// each shard's writer lock, the cache map is node-based (references to
-  /// other tenants' entries stay valid across the erases), and estimates
+  /// Cost is O(that tenant's entries): the cache is partitioned by tenant,
+  /// so eviction clears one partition under its writer lock.
+  ///
+  /// Safe concurrently with estimation of OTHER tenants: their entries
+  /// live in other partitions under other locks, and estimates
   /// are pure functions of (machine, tenant, allocation) — so a racing
   /// disjoint reader can at worst recompute a value, never read a wrong
   /// one (tested by vectorized_probe_test
@@ -204,7 +206,8 @@ class WhatIfCostEstimator : public CostEstimator {
 
   /// Appends a tenant (same validity requirements as the constructor) and
   /// returns its index. Existing indices, cache entries, and observation
-  /// logs are untouched.
+  /// logs are untouched. Not safe concurrently with any estimation: the
+  /// tenant and cache-partition tables may reallocate.
   int AddTenant(Tenant tenant);
 
   /// Replaces tenant `tenant` wholesale (engine, calibration, workload,
@@ -239,20 +242,19 @@ class WhatIfCostEstimator : public CostEstimator {
     double est_seconds;
     std::string signature;
   };
-  /// One cache shard: entries whose key hash lands on it, under a
-  /// reader-writer lock. References into `map` stay valid across inserts
-  /// (node-based container; only SetWorkload erases).
+  /// One tenant's cache partition under a reader-writer lock. References
+  /// into `map` stay valid across inserts (node-based container; only
+  /// InvalidateTenant erases, and it clears this tenant's map alone).
   struct CacheShard {
     std::shared_mutex mu;
     std::unordered_map<CacheKey, CacheValue, CacheKeyHash> map;
   };
-  static constexpr size_t kCacheShards = 16;
 
   struct Miss;  // one distinct uncached probe of an EstimateMany batch
 
   CacheKey MakeKey(int tenant, const simvm::ResourceVector& r) const;
   CacheShard& ShardFor(const CacheKey& key) {
-    return cache_shards_[CacheKeyHash{}(key) % kCacheShards];
+    return *cache_shards_[static_cast<size_t>(key.tenant)];
   }
   /// Pure what-if computation (no cache/log mutation; thread-safe).
   CacheValue Compute(int tenant, const simvm::ResourceVector& r,
@@ -276,7 +278,9 @@ class WhatIfCostEstimator : public CostEstimator {
   std::vector<Tenant> tenants_;
   std::vector<std::vector<WhatIfObservation>> observations_;
   std::mutex observations_mu_;
-  std::array<CacheShard, kCacheShards> cache_shards_;
+  /// cache_shards_[t] holds tenant t's entries; grown by the constructor
+  /// and AddTenant, so invalidating one tenant touches only its own map.
+  std::vector<std::unique_ptr<CacheShard>> cache_shards_;
   std::mutex pool_mu_;
   std::unique_ptr<ThreadPool> pool_;  ///< Lazily created on first batch.
   /// Serializes miss fan-outs: ThreadPool rejects concurrent ParallelFor

@@ -228,8 +228,9 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemandMatrix() {
   }
   demand_columns_probed_ = static_cast<int>(probe_list.size());
 
-  // Per-PM solves run in parallel later, so keep each machine's demand
-  // estimator single-threaded and fan across machines instead.
+  // Per-PM solves run in parallel later, so give each machine's demand
+  // estimator the smallest pool (one worker plus the calling thread) and
+  // fan across machines instead.
   WhatIfEstimatorOptions est_opts = options_.advisor.estimator;
   est_opts.batch_threads = 1;
   auto probe_machine = [&](size_t pi) {
@@ -286,7 +287,8 @@ FleetAdvisor::BinState FleetAdvisor::SolveBin(
 
   AdvisorOptions adv_opts = options_.advisor;
   if (num_machines() > 1) {
-    // Bin solves already fan across the fleet pool; nested per-estimator
+    // Bin solves already fan across the fleet pool, so each estimator gets
+    // the smallest pool: one worker plus the calling thread. Wider nested
     // pools would oversubscribe cores without changing any value (the
     // estimator contract makes results thread-count invariant).
     adv_opts.estimator.batch_threads = 1;
@@ -473,8 +475,18 @@ FleetRecommendation FleetAdvisor::Recommend() {
         dst_ids.insert(
             std::upper_bound(dst_ids.begin(), dst_ids.end(), mover), mover);
 
-        BinState new_src = SolveBin(src, std::move(src_ids));
-        BinState new_dst = SolveBin(dst, std::move(dst_ids));
+        // The trial's two re-solves are independent (SolveBin is const and
+        // builds fresh estimators), so they run at once on the fleet pool.
+        // Candidates stay strictly sequential: the first acceptable one
+        // wins, exactly as in a one-at-a-time loop.
+        BinState new_src, new_dst;
+        pool_->ParallelFor(2, [&](size_t side) {
+          if (side == 0) {
+            new_src = SolveBin(src, std::move(src_ids));
+          } else {
+            new_dst = SolveBin(dst, std::move(dst_ids));
+          }
+        });
 
         // Accept only cost-improving moves that introduce no NEW QoS
         // violation (a violation the pre-move state already had may

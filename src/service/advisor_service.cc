@@ -28,7 +28,7 @@ constexpr double kServiceEpsilon = 1e-12;
 /// Read-through view of a machine's resident estimator restricted to its
 /// OCCUPIED slots: local tenant j maps to estimator slot slots[j]. This
 /// is what lets a SearchStrategy solve "the machine's current tenants"
-/// while every probe lands in the long-lived estimator's sharded cache —
+/// while every probe lands in the long-lived estimator's cache —
 /// the warmth that incremental repair trades on. Freed slots are simply
 /// absent, so a strategy can never probe a departed tenant.
 class SlotSubsetEstimator : public CostEstimator {
@@ -79,14 +79,32 @@ std::string TenantProblem(const Tenant& bound) {
 
 /// Why `workload` cannot be priced, or empty when it can. A NaN or negative
 /// statement frequency would poison the tenant's demand row and every
-/// objective summed from it, so it is refused before it reaches a machine.
+/// objective summed from it, and an empty workload has nothing to price,
+/// so both are refused before they reach a machine.
 std::string WorkloadProblem(const simdb::Workload& workload) {
+  if (workload.statements.empty()) return "workload has no statements";
   for (size_t s = 0; s < workload.statements.size(); ++s) {
     const double f = workload.statements[s].frequency;
     if (!std::isfinite(f) || f < 0.0) {
       return "statement " + std::to_string(s) + " has frequency " +
              std::to_string(f) + " (must be finite and non-negative)";
     }
+  }
+  return {};
+}
+
+/// Why `qos` cannot weight a tenant's cost, or empty when it can. A
+/// non-finite or non-positive gain factor would make the fleet objective
+/// NaN, infinite or indifferent to the tenant; a NaN or negative
+/// degradation limit is no limit at all.
+std::string QosProblem(const QosSpec& qos) {
+  if (!std::isfinite(qos.gain_factor) || qos.gain_factor <= 0.0) {
+    return "gain_factor " + std::to_string(qos.gain_factor) +
+           " (must be finite and positive)";
+  }
+  if (std::isnan(qos.degradation_limit) || qos.degradation_limit < 0.0) {
+    return "degradation_limit " + std::to_string(qos.degradation_limit) +
+           " (must be non-negative)";
   }
   return {};
 }
@@ -121,14 +139,19 @@ AdvisorService::AdvisorService(std::vector<advisor::FleetMachine> machines,
     VDBA_CHECK(machines[m].hardware.resources != nullptr);
     machines_[m].machine = machines[m];
   }
+  if (MigrationArmed()) {
+    // Each migration trial repairs its source and destination machines at
+    // once; the second repair runs on this pool's one worker.
+    trial_pool_ = std::make_unique<ThreadPool>(1);
+  }
   if (options_.workers == 1) {
     worker_ = std::thread(&AdvisorService::WorkerLoop, this);
     return;
   }
   // Sharded loop: the parallelism budget goes to concurrent LANES, so
-  // each resident estimator's own fan-out is pinned to one thread
-  // (estimates are thread-count invariant — the FleetAdvisor rule — so
-  // this changes nothing but scheduling).
+  // each resident estimator gets the smallest pool — one worker plus the
+  // calling thread (estimates are thread-count invariant — the
+  // FleetAdvisor rule — so this changes nothing but scheduling).
   options_.advisor.estimator.batch_threads = 1;
   lanes_ = std::make_unique<ShardedQueue<Event>>(num_machines());
   lane_workers_.reserve(static_cast<size_t>(options_.workers));
@@ -170,6 +193,7 @@ std::future<EventOutcome> AdvisorService::Enqueue(Event event) {
 std::future<EventOutcome> AdvisorService::SubmitArrival(
     advisor::Tenant tenant) {
   std::string problem = WorkloadProblem(tenant.workload);
+  if (problem.empty()) problem = QosProblem(tenant.qos);
   if (!problem.empty()) return Refused("arrival refused: " + problem);
   Event event;
   event.kind = EventKind::kArrival;
@@ -692,9 +716,22 @@ bool AdvisorService::TryMigrate(int src, int slot, int dst) {
     dst_ms.slot_demand[static_cast<size_t>(dst_slot)] = demand_dst;
     dst_ms.load += demand_dst;
   }
-  RepairMachine(src, DepartureSeeds(src_ms, src_ms.OccupiedSlots(), freed));
-  RepairMachine(dst,
-                ArrivalSeeds(dst_ms, dst_ms.OccupiedSlots(), dst_slot));
+  // The two repairs touch disjoint MachineStates and estimators and each
+  // publishes under state_mu_, so they run at once: src on this thread,
+  // dst on the trial pool's worker. Both seed vectors are taken first,
+  // from the pre-repair incumbents, exactly as the one-after-the-other
+  // order would read them.
+  std::vector<simvm::ResourceVector> src_seeds =
+      DepartureSeeds(src_ms, src_ms.OccupiedSlots(), freed);
+  std::vector<simvm::ResourceVector> dst_seeds =
+      ArrivalSeeds(dst_ms, dst_ms.OccupiedSlots(), dst_slot);
+  trial_pool_->ParallelFor(2, [&](size_t side) {
+    if (side == 0) {
+      RepairMachine(src, std::move(src_seeds));
+    } else {
+      RepairMachine(dst, std::move(dst_seeds));
+    }
+  });
 
   // Accept only strict pair-cost improvement with no NEW QoS violation
   // (the FleetAdvisor acceptance rule).
@@ -729,12 +766,12 @@ bool AdvisorService::TryMigrate(int src, int slot, int dst) {
 }
 
 int AdvisorService::MaybeMigrate(int m) {
-  if (num_machines() < 2 || options_.max_migrations <= 0) return 0;
   // An infinite threshold can never fire — skip the saturation probe
   // outright. (This is also what lets the sharded dispatcher lane-route
   // events whenever MigrationArmed() is false: a migration-disarmed
-  // repair provably never reads another machine.)
-  if (!std::isfinite(options_.saturation_threshold)) return 0;
+  // repair provably never reads another machine. And only an armed
+  // service owns the trial pool TryMigrate runs on.)
+  if (!MigrationArmed()) return 0;
   int accepted = 0;
   while (accepted < options_.max_migrations) {
     double saturation = 0.0;

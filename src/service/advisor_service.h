@@ -58,6 +58,7 @@
 #include "simvm/resource_vector.h"
 #include "util/event_queue.h"
 #include "util/sharded_queue.h"
+#include "util/thread_pool.h"
 
 namespace vdba::service {
 
@@ -85,10 +86,11 @@ struct ServiceOptions {
   /// every event handled in exact submission order on one thread. > 1
   /// shards the loop: a dispatcher routes events to per-machine serial
   /// lanes and `workers` threads repair disjoint machines concurrently
-  /// (per-machine estimator fan-out is pinned to 1 thread to avoid
-  /// oversubscription; estimates are thread-count invariant, so results
-  /// do not change). A workers=1 run is bit-identical to the serial
-  /// service on any schedule, by construction.
+  /// (each machine's estimator then fans out over the smallest pool, one
+  /// worker plus the calling thread, to avoid oversubscription; estimates
+  /// are thread-count invariant, so results do not change). A workers=1
+  /// run is bit-identical to the serial service on any schedule, by
+  /// construction.
   int workers = 1;
   /// Collapse a pending run of drift events for ONE tenant into a single
   /// repair priced at the latest workload (per-machine FIFO order is
@@ -174,8 +176,10 @@ class AdvisorService {
   /// estimator (reusing a departed tenant's slot when one is free), and
   /// the machine is warm-repaired from the incumbent allocation with the
   /// incumbents scaled k/(k+1) to fund the newcomer's seed share. A
-  /// workload with a non-finite or negative statement frequency is refused
-  /// at once (ok=false, fleet untouched) without entering the queue.
+  /// workload that is empty or has a non-finite or negative statement
+  /// frequency, a non-finite or non-positive gain_factor, or a NaN or
+  /// negative degradation_limit is refused at once (ok=false, fleet
+  /// untouched) without entering the queue.
   std::future<EventOutcome> SubmitArrival(advisor::Tenant tenant);
 
   /// Tenant departure: frees the slot, invalidates ONLY that tenant's
@@ -187,7 +191,8 @@ class AdvisorService {
   /// via SetWorkload — every other tenant's cache stays warm) and
   /// warm-repairs its machine from the incumbent. A drift to an
   /// identical workload returns the incumbent bit-identical. Refused at
-  /// once, like SubmitArrival, on a non-finite or negative frequency.
+  /// once, like SubmitArrival, on an empty workload or a non-finite or
+  /// negative frequency.
   std::future<EventOutcome> SubmitDrift(int tenant_id,
                                         simdb::Workload workload);
 
@@ -325,9 +330,9 @@ class AdvisorService {
       const MachineState& ms, const std::vector<int>& slots,
       const simvm::ResourceVector& freed) const;
   /// Attempts moving machine src's `slot` to dst: performs the move on
-  /// the resident estimators, warm-repairs both machines, and rolls the
-  /// whole thing back unless the pair objective strictly improves with no
-  /// new QoS violation.
+  /// the resident estimators, warm-repairs both machines at once (dst on
+  /// trial_pool_), and rolls the whole thing back unless the pair
+  /// objective strictly improves with no new QoS violation.
   bool TryMigrate(int src, int slot, int dst);
 
   /// Warm-repairs machine m's incumbent from `seeds` (finest-step spec +
@@ -358,6 +363,11 @@ class AdvisorService {
   /// Global tenant table; ids are indices and are never reused.
   std::vector<TenantState> tenants_;
 
+  /// One worker that runs the destination repair of each migration trial
+  /// while the handling thread repairs the source (null unless
+  /// MigrationArmed()). Only the serial worker or the epoch-holding
+  /// dispatcher migrates, so calls never overlap.
+  std::unique_ptr<ThreadPool> trial_pool_;
   EventQueue<Event> queue_;
   /// Per-machine serial lanes (sharded loop only; null at workers == 1).
   std::unique_ptr<ShardedQueue<Event>> lanes_;

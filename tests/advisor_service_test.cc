@@ -328,6 +328,9 @@ TEST(AdvisorServiceTest, InvalidEventsAreRefusedWithoutStateDamage) {
   EXPECT_FALSE(service.SubmitDeparture(7).get().ok);
   EXPECT_FALSE(service.SubmitDrift(-1, ServiceTenant(0).workload).get().ok);
   Tenant engineless;
+  // A workload, so the refusal comes from the loop's engine check (an
+  // empty workload is refused at submission and never counted).
+  engineless.workload = ServiceTenant(0).workload;
   EXPECT_FALSE(service.SubmitArrival(engineless).get().ok);
 
   FleetSnapshot after = service.Snapshot();
@@ -337,15 +340,18 @@ TEST(AdvisorServiceTest, InvalidEventsAreRefusedWithoutStateDamage) {
   EXPECT_EQ(after.events_handled, before.events_handled + 3);
 }
 
-TEST(AdvisorServiceTest, UnpriceableFrequenciesAreRefusedAtSubmission) {
-  // Regression: a NaN frequency used to reach FirstFitDecreasingPolicy as
-  // a NaN demand row and write out of bounds; the nightly ASan job runs
-  // this suite. Default options keep migration armed on a two-machine
-  // fleet, the configuration that reached the overflow.
+TEST(AdvisorServiceTest, MalformedSubmissionsAreRefusedAtSubmission) {
+  // Regressions: a NaN frequency used to reach FirstFitDecreasingPolicy as
+  // a NaN demand row and write out of bounds (the nightly ASan job runs
+  // this suite), and a NaN gain factor was accepted and kept the fleet
+  // objective NaN from then on. Default options keep migration armed on
+  // a two-machine fleet, the configuration that reached the overflow.
   scenario::Testbed& tb = TB();
   std::vector<FleetMachine> machines(
       2, FleetMachine{tb.machine(), &tb.pg_calibration(),
                       &tb.db2_calibration()});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   for (int workers : {1, 2}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     ServiceOptions options;
@@ -356,34 +362,83 @@ TEST(AdvisorServiceTest, UnpriceableFrequenciesAreRefusedAtSubmission) {
     }
     FleetSnapshot before = service.Snapshot();
 
-    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
-                       std::numeric_limits<double>::infinity(), -1.0}) {
+    auto expect_refused = [](EventOutcome out, const char* reason) {
+      EXPECT_FALSE(out.ok);
+      EXPECT_NE(out.error.find(reason), std::string::npos) << out.error;
+    };
+    for (double bad : {nan, inf, -1.0}) {
       Tenant tenant = ServiceTenant(2);
       tenant.workload.statements.back().frequency = bad;
-      EventOutcome arrival = service.SubmitArrival(tenant).get();
-      EXPECT_FALSE(arrival.ok);
-      EXPECT_NE(arrival.error.find("frequency"), std::string::npos)
-          << arrival.error;
-      EventOutcome drift = service.SubmitDrift(0, tenant.workload).get();
-      EXPECT_FALSE(drift.ok);
-      EXPECT_NE(drift.error.find("frequency"), std::string::npos)
-          << drift.error;
+      expect_refused(service.SubmitArrival(tenant).get(), "frequency");
+      expect_refused(service.SubmitDrift(0, tenant.workload).get(),
+                     "frequency");
     }
+    for (double bad : {nan, inf, -inf, 0.0, -2.0}) {
+      Tenant tenant = ServiceTenant(2);
+      tenant.qos.gain_factor = bad;
+      expect_refused(service.SubmitArrival(tenant).get(), "gain_factor");
+    }
+    for (double bad : {nan, -1.0, -inf}) {
+      Tenant tenant = ServiceTenant(2);
+      tenant.qos.degradation_limit = bad;
+      expect_refused(service.SubmitArrival(tenant).get(),
+                     "degradation_limit");
+    }
+    Tenant empty = ServiceTenant(2);
+    empty.workload.statements.clear();
+    expect_refused(service.SubmitArrival(empty).get(), "no statements");
+    expect_refused(service.SubmitDrift(0, simdb::Workload()).get(),
+                   "no statements");
 
     // Refused at submission: nothing entered the queue or touched state.
     FleetSnapshot after = service.Snapshot();
     EXPECT_EQ(after.assignment, before.assignment);
     EXPECT_EQ(after.allocations, before.allocations);
+    EXPECT_EQ(after.estimated_seconds, before.estimated_seconds);
+    EXPECT_EQ(after.violated_qos, before.violated_qos);
     EXPECT_EQ(after.objective, before.objective);
     EXPECT_EQ(after.events_handled, before.events_handled);
 
-    // A zero frequency is a valid (idle) statement, and the service
-    // keeps serving valid events with a finite objective.
+    // The boundary values stay valid: a zero frequency is an idle
+    // statement, and an unconstrained tenant with a heavy gain factor is
+    // admitted with a finite objective.
     Tenant idle = ServiceTenant(2);
     idle.workload.AddStatement(idle.workload.statements.front().query, 0.0);
+    idle.qos.gain_factor = 3.0;
+    idle.qos.degradation_limit = inf;
     EventOutcome ok = service.SubmitArrival(idle).get();
     ASSERT_TRUE(ok.ok) << ok.error;
     EXPECT_TRUE(std::isfinite(ok.objective));
+  }
+}
+
+TEST(AdvisorServiceTest, AcceptedMigrationRepairsBothMachines) {
+  // A migration trial repairs its source and destination at once; an
+  // accepted move must commit both. Right after each migrating event,
+  // every active tenant — the mover included — carries a positive
+  // estimate from the machine it ended on (an unrepaired destination
+  // would leave the mover at its placeholder cost of 0).
+  scenario::Testbed& tb = TB();
+  std::vector<FleetMachine> machines(
+      2, FleetMachine{tb.machine(), &tb.pg_calibration(),
+                      &tb.db2_calibration()});
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ServiceOptions options;  // migration armed by default
+    options.workers = workers;
+    AdvisorService service(machines, options);
+    int migrations = 0;
+    for (int i = 0; i < 8; ++i) {
+      EventOutcome out = service.SubmitArrival(ServiceTenant(i)).get();
+      ASSERT_TRUE(out.ok) << out.error;
+      if (out.migrations == 0) continue;
+      migrations += out.migrations;
+      FleetSnapshot snap = service.Snapshot();
+      for (size_t id = 0; id < snap.assignment.size(); ++id) {
+        EXPECT_GT(snap.estimated_seconds[id], 0.0) << "tenant " << id;
+      }
+    }
+    EXPECT_GT(migrations, 0);
   }
 }
 

@@ -9,7 +9,9 @@
 //     arrivals / departures / drift across machines, submitted without
 //     waiting so lanes genuinely backlog) produce a final fleet state
 //     BIT-IDENTICAL at workers=4 to the workers=1 serial replay of the
-//     same schedule.
+//     same schedule — with migration disarmed (lanes run concurrently)
+//     and under the default, migration-armed options (every event is an
+//     epoch, and each migration trial repairs two machines at once).
 //   * Linearizability of per-tenant histories under adversarial
 //     interleavings: producers race through std::barrier-controlled
 //     rounds (every producer fires its burst at the same instant — a
@@ -273,12 +275,14 @@ std::vector<Op> MakeSchedule(uint64_t seed, int initial, int ops) {
   return schedule;
 }
 
-/// Runs `schedule` against a fresh service at `workers`, submitting the
-/// burst WITHOUT waiting (so lanes genuinely backlog), and returns the
-/// final snapshot after every future resolved.
+/// Runs `schedule` against a fresh service under `options`, submitting
+/// the burst WITHOUT waiting (so lanes genuinely backlog), and returns the
+/// final snapshot after every future resolved. `migrations`, when given,
+/// receives the migrations the events accepted in total.
 FleetSnapshot RunSchedule(const std::vector<Op>& schedule, int initial,
-                          int workers, bool coalesce = false) {
-  AdvisorService service(Fleet(3), StressOptions(workers, coalesce));
+                          const ServiceOptions& options,
+                          int* migrations = nullptr) {
+  AdvisorService service(Fleet(3), options);
   // Seed tenants synchronously: ids 0..initial-1, deterministic layout.
   for (int i = 0; i < initial; ++i) {
     EventOutcome out = service.SubmitArrival(StressTenant(i)).get();
@@ -312,10 +316,13 @@ FleetSnapshot RunSchedule(const std::vector<Op>& schedule, int initial,
       }
     }
   }
+  int accepted = 0;
   for (std::future<EventOutcome>& f : futures) {
     EventOutcome out = f.get();
     EXPECT_TRUE(out.ok) << out.error;
+    accepted += out.migrations;
   }
+  if (migrations != nullptr) *migrations = accepted;
   service.Stop();
   return service.Snapshot();
 }
@@ -323,15 +330,33 @@ FleetSnapshot RunSchedule(const std::vector<Op>& schedule, int initial,
 TEST(ServiceStressTest, ShardedFinalStateBitIdenticalToSerialReplay) {
   // The tentpole invariant: per-machine FIFO + epoch-drained
   // cross-machine events make the final fleet state a pure function of
-  // the schedule, independent of worker count.
-  for (uint64_t seed : {7ULL, 21ULL, 1031ULL}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const std::vector<Op> schedule = MakeSchedule(seed, /*initial=*/6,
-                                                  /*ops=*/28);
-    const FleetSnapshot serial = RunSchedule(schedule, 6, /*workers=*/1);
-    const FleetSnapshot sharded = RunSchedule(schedule, 6, /*workers=*/4);
-    ExpectStateBitIdentical(sharded, serial);
+  // the schedule, independent of worker count. It must hold with
+  // migration disarmed (lanes repair concurrently) and under the default
+  // options, which arm migration (finite saturation threshold): every
+  // event is then an epoch, and each migration trial repairs its source
+  // and destination at once. The armed schedules must reach that path.
+  int armed_migrations = 0;
+  for (bool armed : {false, true}) {
+    for (uint64_t seed : {7ULL, 21ULL, 1031ULL}) {
+      SCOPED_TRACE("armed=" + std::to_string(armed) +
+                   " seed=" + std::to_string(seed));
+      const std::vector<Op> schedule = MakeSchedule(seed, /*initial=*/6,
+                                                    /*ops=*/28);
+      ServiceOptions options = armed ? ServiceOptions() : StressOptions(1);
+      options.workers = 1;
+      int serial_migrations = 0;
+      const FleetSnapshot serial =
+          RunSchedule(schedule, 6, options, &serial_migrations);
+      options.workers = 4;
+      int sharded_migrations = 0;
+      const FleetSnapshot sharded =
+          RunSchedule(schedule, 6, options, &sharded_migrations);
+      ExpectStateBitIdentical(sharded, serial);
+      EXPECT_EQ(sharded_migrations, serial_migrations);
+      if (armed) armed_migrations += serial_migrations;
+    }
   }
+  EXPECT_GT(armed_migrations, 0);
 }
 
 TEST(ServiceStressTest, BarrierInterleavedProducersKeepPerTenantOrder) {
