@@ -17,8 +17,9 @@ derived from the metric name:
   ``identical``, ``wins``, or ``per_sec`` (ratios, quality scores, and
   throughputs — this covers the fleet arm's
   ``fleet_migration_improvement_*`` / ``fleet_migration_wins_8x64`` /
-  ``fleet_single_pm_identical`` and the probe-kernel
-  ``whatif_probes_per_sec_*``; the ``per_sec`` check runs before the
+  ``fleet_single_pm_identical`` and the probe-kernel arms
+  ``whatif_probes_per_sec_scalar`` / ``whatif_probes_per_sec_arena_vectorized``;
+  the ``per_sec`` check runs before the
   latency check, so the trailing ``sec`` segment of a throughput name
   never flips it to lower-is-better);
 * lower-is-better: names ending in ``_ms``, ``_seconds``, ``_sec``, or

@@ -22,10 +22,12 @@
 // and a single-machine fleet must reproduce the plain advisor's
 // recommendation bit-for-bit.
 //
-// Arm 3 times FleetAdvisor's demand-matrix probing with and without
-// machine-class sharing (machines with identical hardware + calibrations
-// share one what-if probe column): the matrices must be bit-identical and
-// the wall-clock speedup tracks distinct-classes / machines.
+// Arm 3 times FleetAdvisor's demand-matrix probing, which shares one
+// what-if probe column among machines with identical hardware +
+// calibrations, against a per-machine probe built here (one estimator per
+// machine, fanned over a ThreadPool as FleetAdvisor fans its class
+// representatives): the matrices must be bit-identical and the
+// wall-clock speedup tracks distinct-classes / machines.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -58,6 +60,41 @@ class SequentialWhatIfEstimator : public advisor::WhatIfCostEstimator {
     return advisor::CostEstimator::EstimateMany(batch);
   }
 };
+
+/// Demand matrix without machine-class sharing: every machine probed by its
+/// own estimator over the tenants bound to its calibration, machines
+/// fanned over a fresh ThreadPool — FleetAdvisor::ProbeDemandMatrix's
+/// per-column work and threading, minus the class memo.
+std::vector<std::vector<double>> ProbeDemandPerMachine(
+    const std::vector<advisor::FleetMachine>& fleet,
+    const std::vector<advisor::Tenant>& tenants) {
+  std::vector<std::vector<double>> demand(
+      tenants.size(), std::vector<double>(fleet.size()));
+  advisor::WhatIfEstimatorOptions est_opts;
+  est_opts.batch_threads = 1;
+  ThreadPool pool;
+  pool.ParallelFor(fleet.size(), [&](size_t m) {
+    const advisor::FleetMachine& machine = fleet[m];
+    std::vector<advisor::Tenant> bound = tenants;
+    for (advisor::Tenant& t : bound) {
+      const calib::CalibrationModel* model =
+          machine.CalibrationFor(t.engine->flavor());
+      if (model != nullptr) t.calibration = model;
+    }
+    advisor::WhatIfCostEstimator estimator(machine.hardware, std::move(bound),
+                                           est_opts);
+    const int dims = machine.hardware.resources->dims();
+    std::vector<advisor::TenantAllocation> probes;
+    probes.reserve(tenants.size());
+    for (size_t i = 0; i < tenants.size(); ++i) {
+      probes.push_back(advisor::TenantAllocation{
+          static_cast<int>(i), simvm::ResourceVector::Full(dims)});
+    }
+    std::vector<double> column = estimator.EstimateMany(probes);
+    for (size_t i = 0; i < tenants.size(); ++i) demand[i][m] = column[i];
+  });
+  return demand;
+}
 
 /// N heterogeneous tenants: engines alternate between PostgreSQL-style
 /// and DB2-style flavors, workloads mix DSS queries with different
@@ -366,23 +403,22 @@ int main() {
     const int p = 8;
     std::vector<advisor::FleetMachine> fleet = MakeFleet(classes, p);
     std::vector<advisor::Tenant> tenants = MakeFleetTenants(fleet_tb, 16);
-    auto time_probe = [&](bool share, std::vector<std::vector<double>>* out,
-                          int* columns) {
-      advisor::FleetOptions fopts;
-      fopts.share_demand_probes = share;
-      advisor::FleetAdvisor adv(fleet, tenants, fopts);
-      auto start = std::chrono::steady_clock::now();
-      *out = adv.ProbeDemandMatrix();
-      double seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-      *columns = adv.demand_columns_probed();
-      return seconds;
+    auto elapsed = [](std::chrono::steady_clock::time_point start) {
+      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           start)
+          .count();
     };
-    std::vector<std::vector<double>> unshared_demand, shared_demand;
-    int unshared_cols = 0, shared_cols = 0;
-    double unshared_s = time_probe(false, &unshared_demand, &unshared_cols);
-    double shared_s = time_probe(true, &shared_demand, &shared_cols);
+    auto start = std::chrono::steady_clock::now();
+    std::vector<std::vector<double>> unshared_demand =
+        ProbeDemandPerMachine(fleet, tenants);
+    double unshared_s = elapsed(start);
+    const int unshared_cols = p;
+
+    advisor::FleetAdvisor adv(fleet, tenants);
+    start = std::chrono::steady_clock::now();
+    std::vector<std::vector<double>> shared_demand = adv.ProbeDemandMatrix();
+    double shared_s = elapsed(start);
+    const int shared_cols = adv.demand_columns_probed();
     probe_sharing_identical = shared_demand == unshared_demand;
     double sharing_speedup = shared_s > 0.0 ? unshared_s / shared_s : 0.0;
     std::printf("demand probe sharing (8 machines, 3 classes, 16 tenants): "

@@ -177,7 +177,7 @@ struct WhatIfCostEstimator::Miss {
   long calls = 0;
 };
 
-void WhatIfCostEstimator::ComputeMissesVectorized(std::vector<Miss>* misses) {
+void WhatIfCostEstimator::ComputeMisses(std::vector<Miss>* misses) {
   // Group misses by tenant (first-seen order): every probe of one tenant
   // prices the same workload, so one grid call per statement covers the
   // whole group.
@@ -231,11 +231,8 @@ void WhatIfCostEstimator::ComputeMissesVectorized(std::vector<Miss>* misses) {
     const StmtTask& task = tasks[ti];
     const Tenant& t = tenants_[static_cast<size_t>(group_tenant[task.group])];
     const auto& stmt = t.workload.statements[task.stmt];
-    simdb::GridOptions grid;
-    grid.pooled_nodes = options_.arena_plans;
     std::vector<simdb::OptimizeResult> results =
-        t.engine->WhatIfOptimizeGrid(stmt.query, group_params[task.group],
-                                     grid);
+        t.engine->WhatIfOptimizeGrid(stmt.query, group_params[task.group]);
     std::vector<double>& native = task_native[ti];
     std::vector<std::string>& sig = task_sig[ti];
     native.resize(results.size());
@@ -248,7 +245,7 @@ void WhatIfCostEstimator::ComputeMissesVectorized(std::vector<Miss>* misses) {
 
   if (tasks.size() > 1) {
     // Largest probe groups first: one big tenant picked up last would
-    // serialize the tail (same LPT rationale as the scalar fan-out).
+    // serialize the tail (LPT order).
     std::vector<size_t> order(tasks.size());
     std::iota(order.begin(), order.end(), size_t{0});
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -311,37 +308,13 @@ std::vector<double> WhatIfCostEstimator::EstimateMany(
     }
   }
 
-  // One miss fan-out at a time: the pool rejects concurrent ParallelFor
-  // submissions, and serializing here keeps concurrent EstimateMany
-  // callers safe without a pool redesign.
-  std::unique_lock batch_lock(batch_mu_, std::defer_lock);
-  if (!misses.empty()) batch_lock.lock();
-
-  if (options_.vectorized_probes) {
-    if (!misses.empty()) ComputeMissesVectorized(&misses);
-  } else if (misses.size() > 1) {
-    // Probe-at-a-time arm: fan the distinct misses out; the what-if
-    // computation is pure, so parallel execution is bitwise-identical to
-    // sequential. Tenants are heterogeneous, so claim heavy workloads
-    // first (LPT) — a large tenant picked up last would leave one worker
-    // grinding alone at the tail.
-    std::vector<size_t> order(misses.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return tenants_[static_cast<size_t>(misses[a].tenant)]
-                 .workload.statements.size() >
-             tenants_[static_cast<size_t>(misses[b].tenant)]
-                 .workload.statements.size();
-    });
-    pool()->ParallelForOrder(order, [&](size_t m) {
-      misses[m].value = Compute(misses[m].tenant, misses[m].r,
-                                &misses[m].calls);
-    });
-  } else if (misses.size() == 1) {
-    misses[0].value = Compute(misses[0].tenant, misses[0].r,
-                              &misses[0].calls);
+  if (!misses.empty()) {
+    // One miss fan-out at a time: the pool rejects concurrent ParallelFor
+    // submissions, and serializing here keeps concurrent EstimateMany
+    // callers safe without a pool redesign.
+    std::lock_guard batch_lock(batch_mu_);
+    ComputeMisses(&misses);
   }
-  if (batch_lock.owns_lock()) batch_lock.unlock();
 
   // Commit results in the order a sequential run would have: walk the
   // items, inserting each first-seen miss, counting later duplicates and

@@ -9,6 +9,11 @@
 // derives its piecewise models (§5.1: "we use the candidate resource
 // allocations encountered during configuration enumeration to define the
 // A_ij intervals").
+//
+// A single uncached EstimateSeconds probe runs the scalar optimizer
+// (Optimizer::Optimize) once per statement. EstimateMany / EstimateBatch
+// price all of a batch's uncached probes through the batched what-if
+// kernel (Optimizer::OptimizeGrid); both paths give bit-identical values.
 #ifndef VDBA_ADVISOR_COST_ESTIMATOR_H_
 #define VDBA_ADVISOR_COST_ESTIMATOR_H_
 
@@ -116,15 +121,6 @@ struct WhatIfEstimatorOptions {
   /// Worker threads for EstimateBatch; 0 picks a small hardware-derived
   /// default. Results are identical for every thread count.
   int batch_threads = 0;
-  /// Route uncached probes through the batched what-if kernel
-  /// (Optimizer::OptimizeGrid): one enumeration pass per (tenant,
-  /// statement, memory-context group) prices every pending candidate.
-  /// Results are bit-identical to the scalar path; false restores the
-  /// probe-at-a-time fan-out (the benches' comparison arm).
-  bool vectorized_probes = true;
-  /// Allocate grid candidate plans from pooled arena slabs (see
-  /// GridOptions::pooled_nodes); only meaningful with vectorized_probes.
-  bool arena_plans = true;
 };
 
 /// Calibrated what-if estimator over a set of tenants.
@@ -149,9 +145,8 @@ class WhatIfCostEstimator : public CostEstimator {
   int num_dims() const override { return machine_.resources->dims(); }
 
   /// Parallel what-if estimation: uncached candidates go through the
-  /// vectorized probe kernel (or fan out probe-at-a-time when
-  /// vectorized_probes is off); cache and observation log end up exactly
-  /// as if the batch had run sequentially.
+  /// batched probe kernel (see EstimateMany); cache and observation log
+  /// end up exactly as if the batch had run sequentially.
   std::vector<double> EstimateBatch(
       int tenant,
       std::span<const simvm::ResourceVector> candidates) override;
@@ -263,7 +258,7 @@ class WhatIfCostEstimator : public CostEstimator {
   /// grouped by tenant, one WhatIfOptimizeGrid call per (group,
   /// statement) task, tasks fanned over the pool. Bit-identical to
   /// calling Compute per miss.
-  void ComputeMissesVectorized(std::vector<Miss>* misses);
+  void ComputeMisses(std::vector<Miss>* misses);
   /// Inserts a computed value into cache + observation log. If another
   /// thread committed the key first, the existing entry wins (values are
   /// deterministic, so they agree) and no duplicate observation is

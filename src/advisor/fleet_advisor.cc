@@ -34,6 +34,22 @@ bool SameMachineClass(const FleetMachine& a, const FleetMachine& b) {
          a.db2_calibration == b.db2_calibration;
 }
 
+std::vector<int> MachineClassRepresentatives(
+    const std::vector<FleetMachine>& machines) {
+  std::vector<int> rep(machines.size());
+  for (size_t m = 0; m < machines.size(); ++m) {
+    rep[m] = static_cast<int>(m);
+    for (size_t e = 0; e < m; ++e) {
+      if (rep[e] == static_cast<int>(e) &&
+          SameMachineClass(machines[e], machines[m])) {
+        rep[m] = static_cast<int>(e);
+        break;
+      }
+    }
+  }
+  return rep;
+}
+
 // ---------------------------------------------------------------------------
 // Placement policies
 // ---------------------------------------------------------------------------
@@ -208,23 +224,14 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemandMatrix() {
   std::vector<std::vector<double>> demand(
       static_cast<size_t>(t), std::vector<double>(static_cast<size_t>(p)));
 
-  // Machine-class memo: rep[m] = index of the first machine of m's class.
-  // Only representatives are probed; classmates copy the column (their
-  // estimates are bit-identical — see SameMachineClass).
-  std::vector<size_t> rep(static_cast<size_t>(p));
+  // Only class representatives are probed; classmates copy the column
+  // (their estimates are bit-identical — see SameMachineClass).
+  const std::vector<int> rep = MachineClassRepresentatives(machines_);
   std::vector<size_t> probe_list;
   for (int m = 0; m < p; ++m) {
-    size_t r = static_cast<size_t>(m);
-    if (options_.share_demand_probes) {
-      for (size_t e : probe_list) {
-        if (SameMachineClass(machines_[e], machines_[static_cast<size_t>(m)])) {
-          r = e;
-          break;
-        }
-      }
+    if (rep[static_cast<size_t>(m)] == m) {
+      probe_list.push_back(static_cast<size_t>(m));
     }
-    rep[static_cast<size_t>(m)] = r;
-    if (r == static_cast<size_t>(m)) probe_list.push_back(r);
   }
   demand_columns_probed_ = static_cast<int>(probe_list.size());
 
@@ -262,7 +269,7 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemandMatrix() {
 
   // Copy representative columns to classmates.
   for (int m = 0; m < p; ++m) {
-    const size_t r = rep[static_cast<size_t>(m)];
+    const size_t r = static_cast<size_t>(rep[static_cast<size_t>(m)]);
     if (r == static_cast<size_t>(m)) continue;
     for (int i = 0; i < t; ++i) {
       demand[static_cast<size_t>(i)][static_cast<size_t>(m)] =

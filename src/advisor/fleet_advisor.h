@@ -8,7 +8,8 @@
 // advisor-behind-a-control-plane shape). FleetAdvisor composes the
 // existing machinery: a pluggable PlacementPolicy (mirroring the
 // SearchStrategy registry) assigns tenants to machines from a what-if
-// demand matrix, every bin is solved by the ordinary
+// demand matrix (probed once per machine class: classmates' columns are
+// bit-identical), every bin is solved by the ordinary
 // VirtualizationDesignAdvisor (per-PM solves fan out over
 // util::ThreadPool), and a migration repair loop proposes cross-machine
 // moves — a move type no single-PM enumerator can express — accepting
@@ -56,9 +57,15 @@ struct FleetMachine {
 /// the same calibration bindings. The estimate is a pure function of
 /// exactly these inputs, so classmates get bit-identical demand columns.
 /// PhysicalMachine::name is deliberately excluded (purely descriptive).
-/// FleetAdvisor's shared demand probing and the resident AdvisorService's
-/// per-class probe reuse both key off this.
 bool SameMachineClass(const FleetMachine& a, const FleetMachine& b);
+
+/// rep[m] = the lowest index of a machine in m's class (SameMachineClass),
+/// so rep[m] == m exactly for the first machine of each class. Demand
+/// probes run on representatives only and classmates copy the value:
+/// FleetAdvisor's demand matrix and the resident AdvisorService's
+/// admission row both key off this.
+std::vector<int> MachineClassRepresentatives(
+    const std::vector<FleetMachine>& machines);
 
 /// What a PlacementPolicy packs by. Demands are WHAT-IF estimates probed
 /// through each machine's calibrated estimator, so machine heterogeneity
@@ -165,14 +172,6 @@ struct FleetOptions {
   /// hardware-derived ThreadPool default. Results are identical for every
   /// thread count.
   int threads = 0;
-  /// Probe the demand matrix once per MACHINE CLASS instead of once per
-  /// machine: boxes with identical hardware capacities, resource model,
-  /// and calibration bindings get byte-identical demand columns, so one
-  /// representative probe serves them all. Fleets are typically a few
-  /// SKUs replicated hundreds of times, so this collapses the dominant
-  /// probing cost. Results are bit-identical either way; false restores
-  /// the per-machine probe (the benches' comparison arm).
-  bool share_demand_probes = true;
 };
 
 /// One machine's slice of the fleet recommendation.
@@ -236,17 +235,17 @@ class FleetAdvisor {
   /// \brief demand[i][m] for all tenants x machines: estimated seconds of
   /// tenant i's whole workload running alone at 100% of machine m.
   ///
-  /// One EstimateMany per probed machine, probes fanned over the fleet
-  /// pool. With FleetOptions::share_demand_probes, only one machine per
-  /// machine class is probed and its column is copied to every classmate
-  /// (identical hardware + calibration imply identical estimates —
-  /// the what-if computation is a pure function of both). Exposed for
-  /// benches/tests; Recommend() calls it internally.
+  /// Only one machine per machine class is probed (one EstimateMany each,
+  /// fanned over the fleet pool) and its column is copied to every
+  /// classmate: identical hardware + calibration imply identical
+  /// estimates, because the what-if computation is a pure function of
+  /// both. Fleets are typically a few SKUs replicated many times, so this
+  /// collapses the dominant probing cost. Exposed for benches/tests;
+  /// Recommend() calls it internally.
   std::vector<std::vector<double>> ProbeDemandMatrix();
 
   /// Demand columns actually probed by the last ProbeDemandMatrix call:
-  /// num_machines() when sharing is off, the number of distinct machine
-  /// classes when on.
+  /// the number of distinct machine classes.
   int demand_columns_probed() const { return demand_columns_probed_; }
 
   int num_machines() const { return static_cast<int>(machines_.size()); }

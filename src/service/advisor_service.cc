@@ -139,6 +139,7 @@ AdvisorService::AdvisorService(std::vector<advisor::FleetMachine> machines,
     VDBA_CHECK(machines[m].hardware.resources != nullptr);
     machines_[m].machine = machines[m];
   }
+  class_rep_ = advisor::MachineClassRepresentatives(machines);
   if (MigrationArmed()) {
     // Each migration trial repairs its source and destination machines at
     // once; the second repair runs on this pool's one worker.
@@ -378,28 +379,19 @@ std::vector<double> AdvisorService::ProbeDemandRow(
   std::vector<double> row(static_cast<size_t>(p), 0.0);
   // One throwaway single-tenant estimator per machine CLASS; classmates
   // copy the value (SameMachineClass implies bit-identical estimates).
-  std::vector<int> probed;
   advisor::WhatIfEstimatorOptions est_opts = options_.advisor.estimator;
   est_opts.batch_threads = 1;
   for (int m = 0; m < p; ++m) {
-    const advisor::FleetMachine& fm =
-        machines_[static_cast<size_t>(m)].machine;
-    int rep = -1;
-    for (int e : probed) {
-      if (advisor::SameMachineClass(machines_[static_cast<size_t>(e)].machine,
-                                    fm)) {
-        rep = e;
-        break;
-      }
-    }
-    if (rep >= 0) {
+    const int rep = class_rep_[static_cast<size_t>(m)];
+    if (rep != m) {
       row[static_cast<size_t>(m)] = row[static_cast<size_t>(rep)];
       continue;
     }
+    const advisor::FleetMachine& fm =
+        machines_[static_cast<size_t>(m)].machine;
     WhatIfCostEstimator probe(fm.hardware, {BoundTenant(m, tenant)}, est_opts);
     row[static_cast<size_t>(m)] = probe.EstimateSeconds(
         0, simvm::ResourceVector::Full(fm.hardware.resources->dims()));
-    probed.push_back(m);
   }
   return row;
 }

@@ -304,7 +304,7 @@ class AdvisorService {
 
   /// Estimated seconds of `tenant` alone at 100% of each machine, probed
   /// once per machine class (classmates share the value — see
-  /// SameMachineClass).
+  /// class_rep_).
   std::vector<double> ProbeDemandRow(const advisor::Tenant& tenant) const;
   /// Admission: projected-load demand row through the PlacementPolicy.
   int Admit(const std::vector<double>& demand_row) const;
@@ -360,6 +360,9 @@ class AdvisorService {
 
   ServiceOptions options_;
   std::vector<MachineState> machines_;
+  /// class_rep_[m]: the first machine of m's class
+  /// (advisor::MachineClassRepresentatives); fixed at construction.
+  std::vector<int> class_rep_;
   /// Global tenant table; ids are indices and are never reused.
   std::vector<TenantState> tenants_;
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "advisor/advisor.h"
+#include "advisor/cost_estimator.h"
 #include "scenario/scenario.h"
 #include "workload/tpch.h"
 #include "workload/units.h"
@@ -248,19 +249,29 @@ TEST(FleetAdvisorTest, ShippingHeavyTenantsLandOnTheNetFastBox) {
 
 TEST(FleetAdvisorTest, ClassSharedDemandProbingIsBitIdentical) {
   // Two machine classes replicated to 16 boxes: class-shared probing must
-  // produce the exact demand matrix of per-machine probing while probing
+  // produce the exact demand matrix of a per-machine probe while probing
   // only one column per class. (Estimates are pure functions of hardware
   // + calibration, so classmates' columns are bitwise equal by
-  // construction — this pins the memo keying, not the estimator.)
+  // construction — this pins the class keying, not the estimator.)
   static scenario::Testbed tb;
+  // Second class: a fast-CPU box calibrated on itself. (Hardware alone
+  // would not do: the estimate reads the machine through its calibration
+  // and memory size, so a CPU-only difference prices identically.)
+  scenario::TestbedOptions fast_opts;
+  fast_opts.machine.cpu_ops_per_sec *= 2.0;
+  static scenario::Testbed fast(fast_opts);
   std::vector<Tenant> tenants = MixedTenants(tb, 4);
 
   std::vector<FleetMachine> machines;
   for (int m = 0; m < 16; ++m) {
-    simvm::PhysicalMachine hw = tb.machine();
-    hw.name = "box-" + std::to_string(m);  // names differ WITHIN a class
-    if (m % 2 == 1) hw.cpu_ops_per_sec *= 2.0;  // second class: fast CPU
-    machines.push_back(FleetMachine{hw});
+    FleetMachine machine{tb.machine()};
+    if (m % 2 == 1) {
+      machine = FleetMachine{fast.machine(), &fast.pg_calibration(),
+                             &fast.db2_calibration()};
+    }
+    // Names differ WITHIN a class.
+    machine.hardware.name = "box-" + std::to_string(m);
+    machines.push_back(machine);
   }
 
   FleetOptions shared_opts;
@@ -268,30 +279,40 @@ TEST(FleetAdvisorTest, ClassSharedDemandProbingIsBitIdentical) {
   FleetAdvisor shared(machines, tenants, shared_opts);
   std::vector<std::vector<double>> shared_demand = shared.ProbeDemandMatrix();
   EXPECT_EQ(shared.demand_columns_probed(), 2);
+  // The classes must price differently, or a classmate copying the other
+  // class's column would go unseen.
+  bool classes_differ = false;
+  for (const std::vector<double>& row : shared_demand) {
+    classes_differ = classes_differ || row[0] != row[1];
+  }
+  EXPECT_TRUE(classes_differ);
 
-  FleetOptions unshared_opts = shared_opts;
-  unshared_opts.share_demand_probes = false;
-  FleetAdvisor unshared(machines, tenants, unshared_opts);
-  std::vector<std::vector<double>> full_demand = unshared.ProbeDemandMatrix();
-  EXPECT_EQ(unshared.demand_columns_probed(), 16);
-
-  ASSERT_EQ(shared_demand.size(), full_demand.size());
-  for (size_t i = 0; i < full_demand.size(); ++i) {
-    ASSERT_EQ(shared_demand[i].size(), full_demand[i].size()) << i;
-    for (size_t m = 0; m < full_demand[i].size(); ++m) {
-      EXPECT_EQ(shared_demand[i][m], full_demand[i][m])
+  // Reference: every machine probed on its own, with a fresh estimator
+  // over the tenants bound to that machine's calibration.
+  for (size_t m = 0; m < machines.size(); ++m) {
+    std::vector<Tenant> bound = tenants;
+    for (Tenant& t : bound) {
+      const calib::CalibrationModel* model =
+          machines[m].CalibrationFor(t.engine->flavor());
+      if (model != nullptr) t.calibration = model;
+    }
+    WhatIfEstimatorOptions est_opts;
+    est_opts.batch_threads = 1;
+    WhatIfCostEstimator estimator(machines[m].hardware, bound, est_opts);
+    std::vector<TenantAllocation> probes;
+    for (int i = 0; i < static_cast<int>(tenants.size()); ++i) {
+      probes.push_back(TenantAllocation{
+          i, simvm::ResourceVector::Full(
+                 machines[m].hardware.resources->dims())});
+    }
+    std::vector<double> column = estimator.EstimateMany(probes);
+    ASSERT_EQ(shared_demand.size(), column.size());
+    for (size_t i = 0; i < column.size(); ++i) {
+      ASSERT_EQ(shared_demand[i].size(), machines.size()) << i;
+      EXPECT_EQ(shared_demand[i][m], column[i])
           << "tenant " << i << " machine " << m;
     }
   }
-
-  // End-to-end: the full recommendation is unchanged by sharing.
-  FleetRecommendation a = FleetAdvisor(machines, tenants, shared_opts)
-                              .Recommend();
-  FleetRecommendation b = FleetAdvisor(machines, tenants, unshared_opts)
-                              .Recommend();
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.violated_qos, b.violated_qos);
-  EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
 }
 
 TEST(FleetAdvisorTest, DistinctCalibrationsAreDistinctClasses) {

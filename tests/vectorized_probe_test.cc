@@ -1,9 +1,9 @@
-// The vectorized probe path (WhatIfEstimatorOptions::vectorized_probes,
-// routing uncached probes through OptimizeGrid) must be indistinguishable
-// from the probe-at-a-time path: same estimates (exact double equality),
-// same observation logs, same optimizer-call / cache-hit counters — at
-// M = 4 with both engine flavors in the mix. Also: the sharded cache must
-// serve concurrent readers safely.
+// The batched probe path (EstimateMany, routing uncached probes through
+// OptimizeGrid) must be indistinguishable from probing one item at a time
+// through EstimateSeconds (scalar Optimize per statement): same estimates
+// (exact double equality), same observation logs, same optimizer-call /
+// cache-hit counters — at M = 4 with both engine flavors in the mix.
+// Also: the sharded cache must serve concurrent readers safely.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -62,9 +62,8 @@ class VectorizedProbeTest : public ::testing::Test {
     return batch;
   }
 
-  WhatIfCostEstimator MakeEstimator(bool vectorized, int threads = 1) const {
+  WhatIfCostEstimator MakeEstimator(int threads = 1) const {
     WhatIfEstimatorOptions opts;
-    opts.vectorized_probes = vectorized;
     opts.batch_threads = threads;
     return WhatIfCostEstimator(tb_->machine(), tenants_, opts);
   }
@@ -76,11 +75,16 @@ class VectorizedProbeTest : public ::testing::Test {
 TEST_F(VectorizedProbeTest, MatchesScalarPathBitwise) {
   std::vector<TenantAllocation> frontier = Frontier();
 
-  WhatIfCostEstimator scalar = MakeEstimator(/*vectorized=*/false);
-  std::vector<double> want = scalar.EstimateMany(frontier);
+  // Reference: a fresh estimator driven one EstimateSeconds call per item
+  // (Lookup -> Compute -> scalar Optimize per statement).
+  WhatIfCostEstimator scalar = MakeEstimator();
+  std::vector<double> want;
+  for (const TenantAllocation& item : frontier) {
+    want.push_back(scalar.EstimateSeconds(item.tenant, item.r));
+  }
 
   for (int threads : {1, 3}) {
-    WhatIfCostEstimator vec = MakeEstimator(/*vectorized=*/true, threads);
+    WhatIfCostEstimator vec = MakeEstimator(threads);
     std::vector<double> got = vec.EstimateMany(frontier);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
@@ -103,25 +107,11 @@ TEST_F(VectorizedProbeTest, MatchesScalarPathBitwise) {
   }
 }
 
-TEST_F(VectorizedProbeTest, UnpooledArenaMatchesPooled) {
-  std::vector<TenantAllocation> frontier = Frontier();
-  WhatIfEstimatorOptions pooled_opts;
-  pooled_opts.batch_threads = 1;
-  WhatIfCostEstimator pooled(tb_->machine(), tenants_, pooled_opts);
-  WhatIfEstimatorOptions heap_opts = pooled_opts;
-  heap_opts.arena_plans = false;
-  WhatIfCostEstimator heap(tb_->machine(), tenants_, heap_opts);
-  std::vector<double> a = pooled.EstimateMany(frontier);
-  std::vector<double> b = heap.EstimateMany(frontier);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
-}
-
 TEST_F(VectorizedProbeTest, EstimateSecondsAgreesWithBatchedValues) {
   // Interleaving the scalar entry point with batched calls must hit the
   // same cache entries, not recompute.
   std::vector<TenantAllocation> frontier = Frontier();
-  WhatIfCostEstimator est = MakeEstimator(/*vectorized=*/true);
+  WhatIfCostEstimator est = MakeEstimator();
   std::vector<double> batch = est.EstimateMany(frontier);
   long calls_after_batch = est.optimizer_calls();
   for (size_t i = 0; i < frontier.size(); ++i) {
@@ -137,10 +127,10 @@ TEST_F(VectorizedProbeTest, ConcurrentReadersAndWritersAreSafe) {
   // frontiers: every thread must read consistent values, and the final
   // state must match a single-threaded run's estimates.
   std::vector<TenantAllocation> frontier = Frontier();
-  WhatIfCostEstimator reference = MakeEstimator(/*vectorized=*/true);
+  WhatIfCostEstimator reference = MakeEstimator();
   std::vector<double> want = reference.EstimateMany(frontier);
 
-  WhatIfCostEstimator shared = MakeEstimator(/*vectorized=*/true);
+  WhatIfCostEstimator shared = MakeEstimator();
   constexpr int kThreads = 4;
   std::vector<std::vector<double>> got(kThreads);
   {
@@ -189,10 +179,10 @@ TEST_F(VectorizedProbeTest, InvalidateTenantIsSafeUnderDisjointReaders) {
   for (const TenantAllocation& item : Frontier()) {
     if (item.tenant != 2) frontier.push_back(item);
   }
-  WhatIfCostEstimator reference = MakeEstimator(/*vectorized=*/true);
+  WhatIfCostEstimator reference = MakeEstimator();
   std::vector<double> want = reference.EstimateMany(frontier);
 
-  WhatIfCostEstimator shared = MakeEstimator(/*vectorized=*/true);
+  WhatIfCostEstimator shared = MakeEstimator();
   constexpr int kReaders = 3;
   constexpr int kRounds = 8;
   std::vector<std::vector<std::vector<double>>> got(kReaders);
