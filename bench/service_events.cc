@@ -17,6 +17,12 @@
 // objective stays within 25% of the cold solve's, warm handling
 // introduces no QoS violation the cold solve avoids, and a no-op drift
 // returns the incumbent allocation bit-identically.
+//
+// Then the event loop itself (one dispatcher plus `workers` lane workers
+// at every worker count): the same drift burst at workers 1, 2, 4 and 8
+// must end in bitwise-equal snapshots, and a duplicate storm with
+// drift coalescing on must land bit-identical to the uncoalesced replay,
+// with the same number of absorbed drifts at workers 1 and 4.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -161,7 +167,7 @@ struct EventTiming {
 };
 
 // ---------------------------------------------------------------------------
-// Multi-worker arms (PR: sharded event loop)
+// Worker-count arms
 // ---------------------------------------------------------------------------
 
 /// A drifted workload for tenant `id`, deterministic in (id, variant) so
@@ -205,8 +211,8 @@ WorkerArm RunWorkerArm(const std::vector<advisor::FleetMachine>& fleet,
   service::ServiceOptions options;
   options.advisor = SolveOptions();
   // Apples-to-apples across worker counts: one estimator thread per
-  // repair everywhere (the sharded service pins this itself at
-  // workers > 1), so the arms differ ONLY in lane concurrency.
+  // repair everywhere (the service pins this itself at workers > 1), so
+  // the arms differ ONLY in lane concurrency.
   options.advisor.estimator.batch_threads = 1;
   options.saturation_threshold = std::numeric_limits<double>::infinity();
   options.workers = workers;
@@ -226,11 +232,16 @@ WorkerArm RunWorkerArm(const std::vector<advisor::FleetMachine>& fleet,
   std::vector<std::future<service::EventOutcome>> futures;
   double start = NowSeconds();
   if (duplicate_storm) {
-    futures.push_back(svc.SubmitReconfigure());
+    // Workloads first, so the storm's submission behind the plug is
+    // nothing but queue pushes.
+    std::vector<simdb::Workload> storm;
     for (int id = 0; id < 32; ++id) {
-      for (int d = 0; d < 6; ++d) {
-        futures.push_back(svc.SubmitDrift(id, BurstWorkload(tb, id, 9)));
-      }
+      for (int d = 0; d < 6; ++d) storm.push_back(BurstWorkload(tb, id, 9));
+    }
+    futures.push_back(svc.SubmitReconfigure());
+    for (size_t e = 0; e < storm.size(); ++e) {
+      futures.push_back(
+          svc.SubmitDrift(static_cast<int>(e) / 6, std::move(storm[e])));
     }
   } else {
     constexpr int kBurst = 192;
@@ -431,12 +442,12 @@ int main() {
   }
   t.Print();
 
-  // --- Multi-worker sharded loop: throughput scaling + bit-identity -------
+  // --- Worker counts: throughput scaling + bit-identity ------------------
   // Fresh service per worker count, identical event schedule; the final
   // fleet state must be a pure function of the schedule, so every arm's
-  // snapshot must be bitwise equal to the workers=1 (serial-path) arm's.
+  // snapshot must be bitwise equal to the workers=1 arm's.
   const std::vector<advisor::Tenant> arm_tenants = MakeFleetTenants(tb, kTenants);
-  std::printf("\nsharded event loop, burst of 192 drifts over %dx%d:\n",
+  std::printf("\nevent loop, burst of 192 drifts over %dx%d:\n",
               kMachines, kTenants);
   TablePrinter wt({"workers", "burst (s)", "events/s", "vs w1", "state vs w1"});
   bool multiworker_identical = true;
@@ -481,8 +492,8 @@ int main() {
   // --- Coalescing: duplicate storm vs uncoalesced replay ------------------
   // 32 tenants each re-report one new workload 6 times behind a
   // Reconfigure plug. Coalescing must cut repairs (coalesced_drifts > 0,
-  // i.e. repair count < event count) yet land on the exact state the
-  // uncoalesced serial replay lands on.
+  // i.e. repair count < event count), by the same amount at workers 1
+  // and 4, yet land on the exact state the uncoalesced replay lands on.
   WorkerArm replay = RunWorkerArm(fleet, arm_tenants, tb, /*workers=*/1,
                                   /*coalesce=*/false, /*duplicate_storm=*/true);
   WorkerArm co1 = RunWorkerArm(fleet, arm_tenants, tb, /*workers=*/1,
@@ -494,7 +505,8 @@ int main() {
       SnapshotsBitIdentical(co1.snap, replay.snap) &&
       SnapshotsBitIdentical(co4.snap, replay.snap);
   const bool coalesce_saves =
-      replay.snap.coalesced_drifts == 0 && co1.snap.coalesced_drifts > 0;
+      replay.snap.coalesced_drifts == 0 && co1.snap.coalesced_drifts > 0 &&
+      co4.snap.coalesced_drifts == co1.snap.coalesced_drifts;
   RecordMetric("service_coalesced_drifts_w1",
                static_cast<double>(co1.snap.coalesced_drifts));
   RecordMetric("service_coalesce_state_identical",
@@ -543,8 +555,10 @@ int main() {
   }
   std::printf("coalesced storm bit-identical to uncoalesced replay: %s\n",
               coalesce_identical ? "yes" : "NO (bug)");
-  std::printf("coalescing performed fewer repairs than events: %s\n",
-              coalesce_saves ? "yes" : "NO");
+  std::printf(
+      "coalescing performed fewer repairs than events, equally at w1 and "
+      "w4: %s\n",
+      coalesce_saves ? "yes" : "NO");
   PrintFooter();
   return latency_ok && cost_ok && noop_identical && multiworker_identical &&
                  scaling_ok && coalesce_identical && coalesce_saves

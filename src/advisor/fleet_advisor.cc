@@ -22,13 +22,7 @@ constexpr double kFleetEpsilon = 1e-12;
 }  // namespace
 
 bool SameMachineClass(const FleetMachine& a, const FleetMachine& b) {
-  return a.hardware.cpu_ops_per_sec == b.hardware.cpu_ops_per_sec &&
-         a.hardware.memory_mb == b.hardware.memory_mb &&
-         a.hardware.seq_page_ms == b.hardware.seq_page_ms &&
-         a.hardware.rand_page_ms == b.hardware.rand_page_ms &&
-         a.hardware.write_page_ms == b.hardware.write_page_ms &&
-         a.hardware.log_ms_per_mb == b.hardware.log_ms_per_mb &&
-         a.hardware.net_page_ms == b.hardware.net_page_ms &&
+  return a.hardware.memory_mb == b.hardware.memory_mb &&
          a.hardware.resources == b.hardware.resources &&
          a.pg_calibration == b.pg_calibration &&
          a.db2_calibration == b.db2_calibration;

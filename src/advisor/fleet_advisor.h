@@ -53,10 +53,13 @@ struct FleetMachine {
 };
 
 /// True when two fleet machines are interchangeable for what-if
-/// estimation: identical hardware capacities, the same ResourceModel, and
-/// the same calibration bindings. The estimate is a pure function of
-/// exactly these inputs, so classmates get bit-identical demand columns.
-/// PhysicalMachine::name is deliberately excluded (purely descriptive).
+/// estimation: the same memory size, the same ResourceModel, and the same
+/// calibration bindings. The estimate reads the machine only through
+/// these (the calibrated parameters at the VM's memory share), so
+/// classmates get bit-identical demand columns. The other hardware fields
+/// (CPU rate, page, log and network latencies) reach an estimate only
+/// through a calibration model fitted on that box, and
+/// PhysicalMachine::name is purely descriptive; none of them is compared.
 bool SameMachineClass(const FleetMachine& a, const FleetMachine& b);
 
 /// rep[m] = the lowest index of a machine in m's class (SameMachineClass),

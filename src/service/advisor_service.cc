@@ -145,19 +145,17 @@ AdvisorService::AdvisorService(std::vector<advisor::FleetMachine> machines,
     // once; the second repair runs on this pool's one worker.
     trial_pool_ = std::make_unique<ThreadPool>(1);
   }
-  if (options_.workers == 1) {
-    worker_ = std::thread(&AdvisorService::WorkerLoop, this);
-    return;
+  if (options_.workers > 1) {
+    // The parallelism budget goes to concurrent LANES, so each resident
+    // estimator gets the smallest pool — one worker plus the calling
+    // thread (estimates are thread-count invariant — the FleetAdvisor
+    // rule — so this changes nothing but scheduling).
+    options_.advisor.estimator.batch_threads = 1;
   }
-  // Sharded loop: the parallelism budget goes to concurrent LANES, so
-  // each resident estimator gets the smallest pool — one worker plus the
-  // calling thread (estimates are thread-count invariant — the
-  // FleetAdvisor rule — so this changes nothing but scheduling).
-  options_.advisor.estimator.batch_threads = 1;
-  lanes_ = std::make_unique<ShardedQueue<Event>>(num_machines());
+  lanes_ = std::make_unique<ShardedQueue<std::vector<Event>>>(num_machines());
   lane_workers_.reserve(static_cast<size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w) {
-    lane_workers_.emplace_back(&AdvisorService::LaneWorkerLoop, this);
+    lane_workers_.emplace_back(&AdvisorService::LaneLoop, this);
   }
   dispatcher_ = std::thread(&AdvisorService::DispatchLoop, this);
 }
@@ -167,15 +165,11 @@ AdvisorService::~AdvisorService() { Stop(); }
 void AdvisorService::Stop() {
   std::call_once(stop_once_, [this] {
     queue_.Close();
-    // Serial: the worker drains the queue and exits. Sharded: the
-    // dispatcher drains the queue into the lanes, closes them, and
-    // exits; the lane workers then drain the lanes and exit. Either
-    // way every accepted event is handled before the join returns.
-    if (dispatcher_.joinable()) dispatcher_.join();
-    for (std::thread& w : lane_workers_) {
-      if (w.joinable()) w.join();
-    }
-    if (worker_.joinable()) worker_.join();
+    // The dispatcher drains the queue into the lanes, closes them, and
+    // exits; the lane workers then drain the lanes and exit. Every
+    // accepted event is handled before the joins return.
+    dispatcher_.join();
+    for (std::thread& w : lane_workers_) w.join();
   });
 }
 
@@ -234,27 +228,6 @@ void AdvisorService::Complete(Event& event, EventOutcome outcome) {
   event.done.set_value(std::move(outcome));
 }
 
-void AdvisorService::WorkerLoop() {
-  while (std::optional<Event> event = queue_.WaitPop()) {
-    if (event->kind == EventKind::kDrift) {
-      std::vector<Event> batch;
-      batch.push_back(std::move(*event));
-      if (options_.coalesce_drift) {
-        const int id = batch.front().tenant_id;
-        while (std::optional<Event> more =
-                   queue_.PopIf([id](const Event& e) {
-                     return e.kind == EventKind::kDrift && e.tenant_id == id;
-                   })) {
-          batch.push_back(std::move(*more));
-        }
-      }
-      HandleDriftRun(batch);
-    } else {
-      Complete(*event, Handle(*event));
-    }
-  }
-}
-
 bool AdvisorService::MigrationArmed() const {
   return num_machines() >= 2 && options_.max_migrations > 0 &&
          std::isfinite(options_.saturation_threshold);
@@ -272,8 +245,8 @@ int AdvisorService::RouteLane(const Event& event) const {
       // A machine-local repair — unless it may trigger migration, which
       // reads and writes OTHER machines and so needs the fleet to
       // itself. Migration being armed is a property of the options, so
-      // the sharded loop keeps full lane concurrency exactly when
-      // repairs are provably machine-local.
+      // the loop keeps full lane concurrency exactly when repairs are
+      // provably machine-local.
       if (MigrationArmed()) return -1;
       const int id = event.tenant_id;
       std::lock_guard lock(state_mu_);
@@ -294,66 +267,56 @@ int AdvisorService::RouteLane(const Event& event) const {
 
 void AdvisorService::DispatchLoop() {
   while (std::optional<Event> event = queue_.WaitPop()) {
-    const int lane = RouteLane(*event);
+    std::vector<Event> run;
+    run.push_back(std::move(*event));
+    if (options_.coalesce_drift && run.front().kind == EventKind::kDrift) {
+      // The one coalescing site: absorb the same-tenant drifts waiting
+      // right behind this one in submission order.
+      const int id = run.front().tenant_id;
+      while (std::optional<Event> more = queue_.PopIf([id](const Event& e) {
+               return e.kind == EventKind::kDrift && e.tenant_id == id;
+             })) {
+        run.push_back(std::move(*more));
+      }
+    }
+    const int lane = RouteLane(run.front());
     if (lane >= 0) {
       // Cannot fail: the lanes close only after this loop exits.
-      lanes_->Push(lane, std::move(*event));
+      lanes_->Push(lane, std::move(run));
       continue;
     }
     // Global epoch: drain every in-flight lane repair, then handle the
-    // cross-machine event inline with exclusive ownership of the fleet.
+    // cross-machine run inline with exclusive ownership of the fleet.
     lanes_->WaitIdle();
-    if (event->kind == EventKind::kDrift) {
-      std::vector<Event> batch;
-      batch.push_back(std::move(*event));
-      HandleDriftRun(batch);
-    } else {
-      Complete(*event, Handle(*event));
-    }
+    HandleRun(run);
   }
   lanes_->Close();
 }
 
-void AdvisorService::LaneWorkerLoop() {
-  while (std::optional<ShardedQueue<Event>::Popped> popped =
+void AdvisorService::LaneLoop() {
+  while (std::optional<ShardedQueue<std::vector<Event>>::Popped> popped =
              lanes_->PopLane()) {
-    const int lane = popped->lane;
-    if (popped->item.kind == EventKind::kDrift) {
-      std::vector<Event> batch;
-      batch.push_back(std::move(popped->item));
-      if (options_.coalesce_drift) {
-        const int id = batch.front().tenant_id;
-        while (std::optional<Event> more =
-                   lanes_->PopMoreIf(lane, [id](const Event& e) {
-                     return e.kind == EventKind::kDrift && e.tenant_id == id;
-                   })) {
-          batch.push_back(std::move(*more));
-        }
-      }
-      HandleDriftRun(batch);
-    } else {
-      Complete(popped->item, Handle(popped->item));
-    }
-    lanes_->Release(lane);
+    HandleRun(popped->item);
+    lanes_->Release(popped->lane);
   }
 }
 
-EventOutcome AdvisorService::Handle(Event& event) {
+void AdvisorService::HandleRun(std::vector<Event>& run) {
+  Event& event = run.front();
   switch (event.kind) {
     case EventKind::kArrival:
-      return HandleArrival(event);
+      Complete(event, HandleArrival(event));
+      return;
     case EventKind::kDeparture:
-      return HandleDeparture(event);
+      Complete(event, HandleDeparture(event));
+      return;
     case EventKind::kDrift:
-      // Unreachable: every loop routes drift through HandleDriftRun
-      // (which completes the whole run itself).
-      break;
+      HandleDriftRun(run);
+      return;
     case EventKind::kReconfigure:
-      return HandleReconfigure();
+      Complete(event, HandleReconfigure());
+      return;
   }
-  EventOutcome outcome;
-  outcome.error = "unknown event kind";
-  return outcome;
 }
 
 // ---------------------------------------------------------------------------
@@ -681,9 +644,16 @@ bool AdvisorService::TryMigrate(int src, int slot, int dst) {
   }
   // Soft state to restore on rejection (slot BINDINGS are rolled back by
   // the symmetric remove/insert below; allocations and costs by these
-  // copies). The estimators themselves need no rollback: values are pure
-  // functions of (machine, tenant, allocation), so stale-then-recycled
-  // slots can only cost recomputation, never a wrong answer.
+  // copies). The estimator caches are not rolled back, and values are
+  // NOT pure functions of (machine, tenant, allocation): cache keys
+  // quantize shares at cache_granularity, so a hit returns the value of
+  // the first allocation priced in that bucket. RemoveTenant drops the
+  // mover's entries on src at the start of every trial (the rollback's
+  // ReplaceTenant then clears a partition that is already empty), so a
+  // rejected trial leaves the mover cold on src. Keeping those entries
+  // across the trial would let later repairs hit values priced at other
+  // allocations of the same buckets, so it is not guaranteed to keep
+  // decisions bit-identical.
   const std::vector<simvm::ResourceVector> src_alloc = src_ms.slot_alloc;
   const std::vector<double> src_cost = src_ms.slot_cost;
   const std::vector<int> src_violated = src_ms.violated_slots;
@@ -759,7 +729,7 @@ bool AdvisorService::TryMigrate(int src, int slot, int dst) {
 
 int AdvisorService::MaybeMigrate(int m) {
   // An infinite threshold can never fire — skip the saturation probe
-  // outright. (This is also what lets the sharded dispatcher lane-route
+  // outright. (This is also what lets the dispatcher lane-route
   // events whenever MigrationArmed() is false: a migration-disarmed
   // repair provably never reads another machine. And only an armed
   // service owns the trial pool TryMigrate runs on.)
@@ -892,8 +862,8 @@ void AdvisorService::HandleDriftRun(std::vector<Event>& batch) {
   const int id = batch.front().tenant_id;
   if (id < 0 || static_cast<size_t>(id) >= tenants_.size() ||
       !tenants_[static_cast<size_t>(id)].active) {
-    // Activity cannot change inside a run (only drifts sit between the
-    // batch's events in its lane), so one verdict covers the whole run —
+    // Activity cannot change inside a run (its events are consecutive in
+    // submission order), so one verdict covers the whole run —
     // exactly the refusals a serial replay would emit one by one.
     outcome.error = "drift refused: unknown or departed tenant id " +
                     std::to_string(id);

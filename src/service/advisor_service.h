@@ -9,7 +9,7 @@
 // from-scratch fleet solve. AdvisorService owns the fleet state as a
 // resident object: per-machine WhatIfCostEstimators stay alive across
 // events (their what-if caches stay warm), a thread-safe MPSC EventQueue
-// feeds the repair worker(s), and every event is handled by warm-starting
+// feeds the event loop, and every event is handled by warm-starting
 // the configured SearchStrategy from the incumbent allocation with
 // finest-step-only move schedules, after a *targeted* invalidation of
 // only the affected tenant's cache entries
@@ -18,20 +18,20 @@
 // cross-machine migration repair runs only when an event pushes a
 // machine's gain-weighted saturation over a threshold.
 //
-// Concurrency model (docs/service.md "Concurrency model"): with
-// ServiceOptions::workers == 1 (the default) a single worker drains the
-// queue in exact submission order — the PR-8 serial service, unchanged.
-// With workers > 1 a dispatcher thread routes each event to its target
-// machine's serial LANE in a ShardedQueue and a pool of repair workers
-// leases lanes oldest-head-first: per-machine FIFO order is preserved
-// while events for disjoint machines repair concurrently (warm repair
-// only ever mutates one machine's state, so lanes share nothing but the
-// commit mutex). Cross-machine operations — admission placement,
+// Concurrency model (docs/service.md "Concurrency model"): one event
+// loop at every worker count. A dispatcher thread pops the submission
+// queue and routes each event to its target machine's serial LANE in a
+// ShardedQueue, and `workers` repair threads (ServiceOptions::workers,
+// default 1) lease lanes oldest-head-first: per-machine FIFO order is
+// preserved while events for disjoint machines repair concurrently (warm
+// repair only ever mutates one machine's state, so lanes share nothing
+// but the commit mutex). Cross-machine operations — admission placement,
 // Reconfigure, and any event while migration is armed — take a short
 // GLOBAL EPOCH: the dispatcher drains every lane to idle, then handles
 // the event inline with the fleet to itself. Optional drift coalescing
-// (ServiceOptions::coalesce_drift) collapses a pending run of drift
-// events for one tenant into a single repair priced at the latest
+// (ServiceOptions::coalesce_drift) happens at the dispatcher: a popped
+// drift absorbs the drifts for the same tenant that wait right behind it
+// in submission order, and the run is repaired once at the latest
 // workload; Snapshot() reports how many events were absorbed this way.
 //
 // Repair-quality contract: handling an event whose workload is unchanged
@@ -82,22 +82,24 @@ struct ServiceOptions {
   int max_migrations = 1;
   /// Tenants offered per migration attempt (worst-relief first).
   int migration_candidates = 2;
-  /// Repair worker threads. 1 (default) runs the serial event loop —
-  /// every event handled in exact submission order on one thread. > 1
-  /// shards the loop: a dispatcher routes events to per-machine serial
-  /// lanes and `workers` threads repair disjoint machines concurrently
-  /// (each machine's estimator then fans out over the smallest pool, one
-  /// worker plus the calling thread, to avoid oversubscription; estimates
-  /// are thread-count invariant, so results do not change). A workers=1
-  /// run is bit-identical to the serial service on any schedule, by
-  /// construction.
+  /// Lane worker threads repairing machine-local events. The dispatcher
+  /// routes each event to its machine's serial lane (or handles it in a
+  /// global epoch), and `workers` threads repair disjoint machines
+  /// concurrently; workers = 1 is one dispatcher plus one lane worker.
+  /// At > 1 each machine's estimator fans out over the smallest pool,
+  /// one worker plus the calling thread, to avoid oversubscription;
+  /// estimates are thread-count invariant, so results do not change. The
+  /// final state of any schedule is the same at every worker count.
   int workers = 1;
-  /// Collapse a pending run of drift events for ONE tenant into a single
-  /// repair priced at the latest workload (per-machine FIFO order is
-  /// never violated; absorbed events resolve with the shared outcome and
-  /// are counted in FleetSnapshot::coalesced_drifts). Exactly
-  /// state-identical to the uncoalesced replay when the run re-reports
-  /// an unchanged workload (the skipped intermediate repairs are no-op
+  /// Collapse a run of drift events for ONE tenant into a single repair
+  /// priced at the latest workload. A run is the drifts for that tenant
+  /// that are already waiting, consecutive in submission order, when the
+  /// dispatcher pops its first one; the rule is the same at every worker
+  /// count and whether or not migration is armed. Absorbed events resolve
+  /// with the shared outcome and are counted in
+  /// FleetSnapshot::coalesced_drifts. Exactly state-identical to the
+  /// uncoalesced replay when the run re-reports an unchanged workload and
+  /// migration is disarmed (the skipped intermediate repairs are no-op
   /// keeps); for genuinely different intermediate workloads the final
   /// state is a warm repair of the same final workload seeded from the
   /// pre-run incumbent instead of the per-step one.
@@ -105,8 +107,8 @@ struct ServiceOptions {
 };
 
 /// What became of one submitted event. Delivered through the
-/// std::future each Submit* call returns, after the worker committed the
-/// event's repair.
+/// std::future each Submit* call returns, after the handling thread
+/// committed the event's repair.
 struct EventOutcome {
   /// False when the event was refused (unknown tenant id, invalid tenant,
   /// service already stopped); `error` says why and fleet state is
@@ -150,12 +152,12 @@ struct FleetSnapshot {
 /// repairing a live fleet as tenant events stream in.
 ///
 /// Thread safety: every public method is safe from any thread. Submit*
-/// enqueue and return immediately; the returned future resolves when a
-/// worker has committed (or refused) the event. Events for one machine
-/// are handled strictly in submission (FIFO) order; with workers == 1
-/// (default) so is the whole stream. Stop() — also run by the
+/// enqueue and return immediately; the returned future resolves when the
+/// service has committed (or refused) the event. Events for one machine
+/// are handled strictly in submission (FIFO) order, and so is every
+/// cross-machine event relative to all others. Stop() — also run by the
 /// destructor — closes the queue and DRAINS it: every event accepted
-/// before Stop() is still handled, then the workers exit; Submit* after
+/// before Stop() is still handled, then the threads exit; Submit* after
 /// Stop() resolve immediately with ok = false.
 class AdvisorService {
  public:
@@ -201,7 +203,8 @@ class AdvisorService {
   std::future<EventOutcome> SubmitReconfigure();
 
   /// Closes the queue (further Submit* are refused), drains every
-  /// already-accepted event, and joins the worker threads. Idempotent.
+  /// already-accepted event, and joins the dispatcher and lane workers.
+  /// Idempotent.
   void Stop();
 
   /// Copy of the fleet state as of the last committed event.
@@ -213,7 +216,7 @@ class AdvisorService {
   /// Machine m's resident estimator (null while the machine has never
   /// hosted a tenant). Counters/observations are for tests and benches;
   /// only read this while no event is in flight (estimator mutation
-  /// happens on the worker thread).
+  /// happens on the service's threads).
   const advisor::WhatIfCostEstimator* machine_estimator(int m) const {
     return machines_[static_cast<size_t>(m)].estimator.get();
   }
@@ -268,22 +271,19 @@ class AdvisorService {
   };
 
   std::future<EventOutcome> Enqueue(Event event);
-  /// The workers == 1 event loop: pops the MPSC queue in submission
-  /// order and handles every event on this one thread (the PR-8 serial
-  /// service).
-  void WorkerLoop();
-  /// The workers > 1 front half: classifies each event under state_mu_
-  /// and either pushes it onto its target machine's lane or — for
-  /// cross-machine events — drains every lane (global epoch) and handles
-  /// it inline.
+  /// The front half of the event loop: pops the submission queue, forms
+  /// the event's run (a drift absorbs the same-tenant drifts waiting
+  /// right behind it when coalesce_drift is on), classifies it under
+  /// state_mu_, and either pushes the run onto its target machine's lane
+  /// or — for cross-machine events — drains every lane (global epoch)
+  /// and handles it inline.
   void DispatchLoop();
-  /// The workers > 1 back half: leases one lane at a time
-  /// (oldest-head-first) and handles its events; disjoint lanes run on
-  /// distinct workers concurrently.
-  void LaneWorkerLoop();
-  /// Lane for `event` under the sharded loop, or -1 when it must run as
-  /// a global epoch (arrival, reconfigure, or any event while migration
-  /// is armed).
+  /// The back half: leases one lane at a time (oldest-head-first) and
+  /// handles its runs; disjoint lanes run on distinct workers
+  /// concurrently.
+  void LaneLoop();
+  /// Lane for `event`, or -1 when it must run as a global epoch
+  /// (arrival, reconfigure, or any event while migration is armed).
   int RouteLane(const Event& event) const;
   /// True when events may trigger cross-machine migration — which forces
   /// every event through the global-epoch path.
@@ -291,14 +291,16 @@ class AdvisorService {
   /// Publishes `outcome` for `event`: bumps events_handled_ and resolves
   /// the promise.
   void Complete(Event& event, EventOutcome outcome);
-  EventOutcome Handle(Event& event);
+  /// Handles and completes one run: a drift run goes to HandleDriftRun,
+  /// any other event (always a run of one) to its handler.
+  void HandleRun(std::vector<Event>& run);
   EventOutcome HandleArrival(Event& event);
   EventOutcome HandleDeparture(const Event& event);
   /// Handles a run of drift events for ONE tenant (all `batch` entries
   /// share tenant_id): applies the LATEST workload, repairs the machine
   /// once, and completes every event with the shared outcome. A batch of
-  /// one is exactly the serial drift handler; larger batches only form
-  /// when coalesce_drift is on.
+  /// one is the plain drift handler; larger batches only form when
+  /// coalesce_drift is on.
   void HandleDriftRun(std::vector<Event>& batch);
   EventOutcome HandleReconfigure();
 
@@ -350,9 +352,8 @@ class AdvisorService {
   /// accepted moves (<= options_.max_migrations).
   int MaybeMigrate(int m);
 
-  /// Gain-weighted fleet objective. Takes state_mu_ — under the sharded
-  /// loop a lane handler races other lanes' repair commits, which publish
-  /// under that mutex.
+  /// Gain-weighted fleet objective. Takes state_mu_ — a lane handler
+  /// races other lanes' repair commits, which publish under that mutex.
   double FleetObjective() const;
   /// Variants for callers already holding state_mu_ (Snapshot()).
   double FleetObjectiveLocked() const;
@@ -368,14 +369,14 @@ class AdvisorService {
 
   /// One worker that runs the destination repair of each migration trial
   /// while the handling thread repairs the source (null unless
-  /// MigrationArmed()). Only the serial worker or the epoch-holding
-  /// dispatcher migrates, so calls never overlap.
+  /// MigrationArmed()). Only the epoch-holding dispatcher migrates, so
+  /// calls never overlap.
   std::unique_ptr<ThreadPool> trial_pool_;
   EventQueue<Event> queue_;
-  /// Per-machine serial lanes (sharded loop only; null at workers == 1).
-  std::unique_ptr<ShardedQueue<Event>> lanes_;
-  std::thread worker_;      // workers == 1
-  std::thread dispatcher_;  // workers > 1
+  /// Per-machine serial lanes; each item is a run of events (see
+  /// DispatchLoop).
+  std::unique_ptr<ShardedQueue<std::vector<Event>>> lanes_;
+  std::thread dispatcher_;
   std::vector<std::thread> lane_workers_;
   /// Guards machines_/tenants_/events_handled_/coalesced_drifts_ between
   /// the workers' commit points and Snapshot()/RouteLane(). A handler

@@ -1,18 +1,18 @@
 // A thread-safe MPSC event queue: the front door of the resident
 // AdvisorService (src/service/).
 //
-// Any number of producer threads Push events; one consumer drains them
-// with WaitPop in exact arrival (FIFO) order. Close() ends the stream
-// gracefully: producers are refused from that point on, while the
-// consumer keeps draining whatever was already accepted — so "shutdown"
-// never drops an in-flight event. Deliberately minimal, mirroring
-// ThreadPool's philosophy: one mutex, one condition variable, no lock-free
-// cleverness to audit.
+// Any number of producer threads Push events; one consumer (the
+// service's dispatcher) drains them with WaitPop in exact arrival (FIFO)
+// order and may take further matching events off the front with PopIf.
+// Close() ends the stream gracefully: producers are refused from that
+// point on, while the consumer keeps draining whatever was already
+// accepted — so "shutdown" never drops an in-flight event. Deliberately
+// minimal, mirroring ThreadPool's philosophy: one mutex, one condition
+// variable, no lock-free cleverness to audit.
 #ifndef VDBA_UTIL_EVENT_QUEUE_H_
 #define VDBA_UTIL_EVENT_QUEUE_H_
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -40,15 +40,6 @@ class EventQueue {
     ready_.notify_one();
     return true;
   }
-  bool Push(const T& event) {
-    {
-      std::lock_guard lock(mu_);
-      if (closed_) return false;
-      items_.push_back(event);
-    }
-    ready_.notify_one();
-    return true;
-  }
 
   /// Blocks until an event is available or the queue is closed AND
   /// drained. \returns the oldest event in arrival order, or nullopt once
@@ -64,8 +55,9 @@ class EventQueue {
 
   /// Non-blocking conditional pop: takes the oldest event iff `pred(event)`
   /// holds, nullopt otherwise (empty queue included). The consumer-side
-  /// coalescing hook — a consumer that just popped an event can keep
-  /// absorbing equivalent successors without ever blocking or reordering.
+  /// coalescing hook — the service's dispatcher, having just popped a
+  /// drift, absorbs the equivalent drifts right behind it without ever
+  /// blocking or reordering.
   template <typename Pred>
   std::optional<T> PopIf(Pred pred) {
     std::lock_guard lock(mu_);
@@ -85,19 +77,8 @@ class EventQueue {
     ready_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard lock(mu_);
-    return closed_;
-  }
-
-  /// Events currently queued (a snapshot; racy by nature under MPSC).
-  size_t size() const {
-    std::lock_guard lock(mu_);
-    return items_.size();
-  }
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable ready_;
   std::deque<T> items_;
   bool closed_ = false;

@@ -1,5 +1,5 @@
-// A sharded serial-lane queue: the dispatch fabric of the multi-worker
-// AdvisorService (src/service/).
+// A sharded serial-lane queue: the dispatch fabric of the resident
+// AdvisorService's event loop (src/service/).
 //
 // One producer (the service's dispatcher) routes items into N lanes; a
 // pool of consumer threads drains them under a per-lane LEASE discipline:
@@ -7,15 +7,12 @@
 // lanes and leases that lane to it until Release(), so each lane is a
 // strict serial FIFO (two consumers can never process the same lane
 // concurrently) while distinct lanes drain in parallel. With a single
-// consumer, "oldest head first" degenerates to exact global FIFO — the
-// property the service's workers=1 serial-equivalence guarantee leans on.
+// consumer, "oldest head first" degenerates to exact global FIFO.
 //
-// PopMoreIf() lets the lease holder conditionally take further items off
-// the front of ITS lane (event coalescing); WaitIdle() is the epoch
-// barrier — it blocks the producer until every lane is empty and
-// unleased, the quiescent point at which cross-lane operations are safe.
-// Close() mirrors EventQueue: producers are refused from then on, but
-// consumers keep draining everything already accepted.
+// WaitIdle() is the epoch barrier — it blocks the producer until every
+// lane is empty and unleased, the quiescent point at which cross-lane
+// operations are safe. Close() mirrors EventQueue: producers are refused
+// from then on, but consumers keep draining everything already accepted.
 //
 // Deliberately minimal, like EventQueue and ThreadPool: one mutex, one
 // condition variable, no lock-free cleverness to audit.
@@ -89,25 +86,6 @@ class ShardedQueue {
     }
   }
 
-  /// While holding `lane`'s lease: pops that lane's next item iff
-  /// `pred(item)` holds (non-blocking). This is the coalescing hook — the
-  /// lease holder collapses a run of equivalent items into one unit of
-  /// work without ever reordering the lane.
-  template <typename Pred>
-  std::optional<T> PopMoreIf(int lane, Pred pred) {
-    std::unique_lock lock(mu_);
-    Lane& l = LaneAt(lane);
-    VDBA_CHECK(l.leased);
-    if (l.items.empty() || !pred(l.items.front().second)) {
-      return std::nullopt;
-    }
-    T item = std::move(l.items.front().second);
-    l.items.pop_front();
-    lock.unlock();
-    cv_.notify_all();
-    return item;
-  }
-
   /// Returns `lane` to the schedulable pool.
   void Release(int lane) {
     {
@@ -136,21 +114,6 @@ class ShardedQueue {
     }
     cv_.notify_all();
   }
-
-  bool closed() const {
-    std::lock_guard lock(mu_);
-    return closed_;
-  }
-
-  /// Items currently queued across all lanes (snapshot; racy by nature).
-  size_t size() const {
-    std::lock_guard lock(mu_);
-    size_t n = 0;
-    for (const Lane& l : lanes_) n += l.items.size();
-    return n;
-  }
-
-  int num_lanes() const { return static_cast<int>(lanes_.size()); }
 
  private:
   struct Lane {
@@ -194,7 +157,7 @@ class ShardedQueue {
     return n;
   }
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Lane> lanes_;
   uint64_t next_seq_ = 0;

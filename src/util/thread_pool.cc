@@ -15,7 +15,7 @@ ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) threads = DefaultThreads();
   workers_.reserve(static_cast<size_t>(threads));
   for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this] { RunWorker(); });
   }
 }
 
@@ -43,7 +43,7 @@ void ThreadPool::RunChunk(const std::shared_ptr<Batch>& batch) {
   }
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::RunWorker() {
   uint64_t last_seen = 0;
   while (true) {
     std::shared_ptr<Batch> batch;

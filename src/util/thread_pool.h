@@ -65,7 +65,7 @@ class ThreadPool {
     uint64_t id = 0;
   };
 
-  void WorkerLoop();
+  void RunWorker();
   void RunChunk(const std::shared_ptr<Batch>& batch);
 
   std::mutex mu_;

@@ -443,8 +443,8 @@ TEST(AdvisorServiceTest, AcceptedMigrationRepairsBothMachines) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-worker service: the PR-8 serial repair-quality assertions must
-// survive the sharded loop (dispatcher + per-machine lanes) verbatim.
+// Multi-worker service: the repair-quality assertions above must hold
+// verbatim with several lane workers repairing concurrently.
 // ---------------------------------------------------------------------------
 
 ServiceOptions TwoMachineOptions(int workers) {

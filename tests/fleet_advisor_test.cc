@@ -248,7 +248,7 @@ TEST(FleetAdvisorTest, ShippingHeavyTenantsLandOnTheNetFastBox) {
 }
 
 TEST(FleetAdvisorTest, ClassSharedDemandProbingIsBitIdentical) {
-  // Two machine classes replicated to 16 boxes: class-shared probing must
+  // Two machine classes replicated to 17 boxes: class-shared probing must
   // produce the exact demand matrix of a per-machine probe while probing
   // only one column per class. (Estimates are pure functions of hardware
   // + calibration, so classmates' columns are bitwise equal by
@@ -273,6 +273,18 @@ TEST(FleetAdvisorTest, ClassSharedDemandProbingIsBitIdentical) {
     machine.hardware.name = "box-" + std::to_string(m);
     machines.push_back(machine);
   }
+  // A box that differs from the base only in hardware fields the
+  // estimate never reads (CPU rate, page, log and network latencies),
+  // with the same null calibration: it joins the base class.
+  FleetMachine lookalike{tb.machine()};
+  lookalike.hardware.cpu_ops_per_sec *= 3.0;
+  lookalike.hardware.seq_page_ms /= 2.0;
+  lookalike.hardware.rand_page_ms /= 2.0;
+  lookalike.hardware.write_page_ms /= 2.0;
+  lookalike.hardware.log_ms_per_mb /= 2.0;
+  lookalike.hardware.net_page_ms /= 2.0;
+  machines.push_back(lookalike);
+  EXPECT_EQ(MachineClassRepresentatives(machines).back(), 0);
 
   FleetOptions shared_opts;
   shared_opts.threads = 1;

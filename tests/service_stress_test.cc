@@ -1,17 +1,19 @@
-// Deterministic concurrency stress harness for the sharded AdvisorService
-// event loop (ServiceOptions::workers > 1) — the `test`-archetype
+// Deterministic concurrency stress harness for the AdvisorService event
+// loop (one dispatcher plus ServiceOptions::workers lane workers), the
 // companion of the lane/dispatcher design in src/service/:
 //
 //   * ShardedQueue invariants: per-lane FIFO under the lease discipline,
 //     oldest-head-first == exact global FIFO with one consumer, WaitIdle
 //     as a real barrier, Close() draining everything accepted.
 //   * Serial-replay equivalence: seeded randomized schedules (bursty
-//     arrivals / departures / drift across machines, submitted without
-//     waiting so lanes genuinely backlog) produce a final fleet state
-//     BIT-IDENTICAL at workers=4 to the workers=1 serial replay of the
-//     same schedule — with migration disarmed (lanes run concurrently)
-//     and under the default, migration-armed options (every event is an
-//     epoch, and each migration trial repairs two machines at once).
+//     arrivals / departures / drift across machines) are first replayed
+//     synchronously — each future awaited before the next submit, serial
+//     by construction whatever the loop — and that is the reference.
+//     The same schedules submitted without waiting (so lanes genuinely
+//     backlog) must land BIT-IDENTICAL to it at workers 1 and 4, with
+//     migration disarmed (lanes run concurrently) and under the default,
+//     migration-armed options (every event is an epoch, and each
+//     migration trial repairs two machines at once).
 //   * Linearizability of per-tenant histories under adversarial
 //     interleavings: producers race through std::barrier-controlled
 //     rounds (every producer fires its burst at the same instant — a
@@ -21,9 +23,10 @@
 //     resolves exactly once; events_handled equals the events that
 //     entered the loop; accepted arrivals are all visible in the final
 //     snapshot.
-//   * Coalescing commutes with replay: a duplicate-storm schedule run
-//     with coalesce_drift on (workers 1 and 4) lands bit-identical to
-//     the uncoalesced serial replay, with fewer repairs than events.
+//   * Coalescing has one meaning: a duplicate-storm schedule run with
+//     coalesce_drift on coalesces the same runs at workers 1 and 4,
+//     disarmed (and then lands bit-identical to the uncoalesced replay)
+//     and armed (and then the two worker counts land bit-identical).
 //
 // Everything is seeded (vdba::Rng) and assertion-deterministic; the
 // nightly TSan job runs this file (see .github/workflows/nightly.yml),
@@ -63,8 +66,7 @@ using advisor::Tenant;
 
 TEST(ShardedQueueTest, SingleConsumerDrainsInExactGlobalFifoOrder) {
   // Oldest-head-first lane scheduling with ONE consumer must reduce to
-  // exact submission order across lanes — the property the service's
-  // workers=1 guarantee is built on.
+  // exact submission order across lanes.
   ShardedQueue<int> queue(3);
   std::vector<int> lanes = {0, 2, 1, 1, 0, 2, 2, 0, 1, 0};
   for (size_t i = 0; i < lanes.size(); ++i) {
@@ -121,23 +123,6 @@ TEST(ShardedQueueTest, LeaseSerializesALaneAcrossConcurrentConsumers) {
           << "lane " << lane << " reordered";
     }
   }
-}
-
-TEST(ShardedQueueTest, PopMoreIfCoalescesOnlyMatchingRunsFromOwnLane) {
-  ShardedQueue<int> queue(2);
-  for (int v : {2, 4, 5, 6}) ASSERT_TRUE(queue.Push(0, std::move(v)));
-  ASSERT_TRUE(queue.Push(1, 8));
-
-  std::optional<ShardedQueue<int>::Popped> head = queue.PopLane();
-  ASSERT_TRUE(head.has_value());
-  EXPECT_EQ(head->item, 2);
-  auto even = [](const int& v) { return v % 2 == 0; };
-  EXPECT_EQ(queue.PopMoreIf(head->lane, even), std::optional<int>(4));
-  // 5 breaks the run; nothing past it may be taken even though 6 matches.
-  EXPECT_EQ(queue.PopMoreIf(head->lane, even), std::nullopt);
-  EXPECT_EQ(queue.PopMoreIf(head->lane, even), std::nullopt);
-  queue.Release(head->lane);
-  EXPECT_EQ(queue.size(), 3u);
 }
 
 TEST(ShardedQueueTest, WaitIdleBlocksUntilLanesDrainAndLeasesClear) {
@@ -204,7 +189,7 @@ std::vector<FleetMachine> Fleet(int machines) {
 }
 
 /// Migration disarmed (infinite threshold) so drift/departure events are
-/// machine-local and the sharded loop runs lanes genuinely concurrently.
+/// machine-local and the loop runs lanes genuinely concurrently.
 ServiceOptions StressOptions(int workers, bool coalesce = false) {
   ServiceOptions options;
   options.saturation_threshold = std::numeric_limits<double>::infinity();
@@ -275,12 +260,14 @@ std::vector<Op> MakeSchedule(uint64_t seed, int initial, int ops) {
   return schedule;
 }
 
-/// Runs `schedule` against a fresh service under `options`, submitting
-/// the burst WITHOUT waiting (so lanes genuinely backlog), and returns the
-/// final snapshot after every future resolved. `migrations`, when given,
-/// receives the migrations the events accepted in total.
+/// Runs `schedule` against a fresh service under `options` and returns
+/// the final snapshot after every future resolved. A backlogged run
+/// submits the burst WITHOUT waiting (so lanes genuinely backlog); a
+/// synchronous one awaits each future before the next submit, which is a
+/// serial replay whatever the loop. `migrations`, when given, receives the
+/// migrations the events accepted in total.
 FleetSnapshot RunSchedule(const std::vector<Op>& schedule, int initial,
-                          const ServiceOptions& options,
+                          const ServiceOptions& options, bool synchronous,
                           int* migrations = nullptr) {
   AdvisorService service(Fleet(3), options);
   // Seed tenants synchronously: ids 0..initial-1, deterministic layout.
@@ -315,6 +302,7 @@ FleetSnapshot RunSchedule(const std::vector<Op>& schedule, int initial,
         break;
       }
     }
+    if (synchronous) futures.back().wait();
   }
   int accepted = 0;
   for (std::future<EventOutcome>& f : futures) {
@@ -330,30 +318,35 @@ FleetSnapshot RunSchedule(const std::vector<Op>& schedule, int initial,
 TEST(ServiceStressTest, ShardedFinalStateBitIdenticalToSerialReplay) {
   // The tentpole invariant: per-machine FIFO + epoch-drained
   // cross-machine events make the final fleet state a pure function of
-  // the schedule, independent of worker count. It must hold with
-  // migration disarmed (lanes repair concurrently) and under the default
-  // options, which arm migration (finite saturation threshold): every
-  // event is then an epoch, and each migration trial repairs its source
-  // and destination at once. The armed schedules must reach that path.
+  // the schedule, independent of worker count and of how far the lanes
+  // backlog. The reference is a synchronous replay, serial by
+  // construction. It must hold with migration disarmed (lanes repair
+  // concurrently) and under the default options, which arm migration
+  // (finite saturation threshold): every event is then an epoch, and each
+  // migration trial repairs its source and destination at once. The
+  // armed schedules must reach that path.
   int armed_migrations = 0;
   for (bool armed : {false, true}) {
     for (uint64_t seed : {7ULL, 21ULL, 1031ULL}) {
-      SCOPED_TRACE("armed=" + std::to_string(armed) +
-                   " seed=" + std::to_string(seed));
       const std::vector<Op> schedule = MakeSchedule(seed, /*initial=*/6,
                                                     /*ops=*/28);
       ServiceOptions options = armed ? ServiceOptions() : StressOptions(1);
-      options.workers = 1;
       int serial_migrations = 0;
-      const FleetSnapshot serial =
-          RunSchedule(schedule, 6, options, &serial_migrations);
-      options.workers = 4;
-      int sharded_migrations = 0;
-      const FleetSnapshot sharded =
-          RunSchedule(schedule, 6, options, &sharded_migrations);
-      ExpectStateBitIdentical(sharded, serial);
-      EXPECT_EQ(sharded_migrations, serial_migrations);
+      const FleetSnapshot serial = RunSchedule(
+          schedule, 6, options, /*synchronous=*/true, &serial_migrations);
       if (armed) armed_migrations += serial_migrations;
+      for (int workers : {1, 4}) {
+        SCOPED_TRACE("armed=" + std::to_string(armed) +
+                     " seed=" + std::to_string(seed) +
+                     " workers=" + std::to_string(workers));
+        options.workers = workers;
+        int backlogged_migrations = 0;
+        const FleetSnapshot backlogged =
+            RunSchedule(schedule, 6, options, /*synchronous=*/false,
+                        &backlogged_migrations);
+        ExpectStateBitIdentical(backlogged, serial);
+        EXPECT_EQ(backlogged_migrations, serial_migrations);
+      }
     }
   }
   EXPECT_GT(armed_migrations, 0);
@@ -488,48 +481,87 @@ TEST(ServiceStressTest, StopMidBurstLosesNothingAndDoublesNothing) {
   }
 }
 
-TEST(ServiceStressTest, CoalescingCommutesWithUncoalescedReplay) {
-  // Duplicate-storm schedule: every tenant re-reports one NEW workload
-  // kDup times. Uncoalesced replay: the first drift repairs, the next
-  // kDup-1 are bit-identical no-op keeps. Coalesced: the run collapses
-  // into one repair from the SAME incumbent at the SAME workload — so
-  // the final states must agree bitwise while the repair count drops.
+/// A tenant running all 22 TPC-H queries. Its arrival is a global epoch
+/// that prices a 22-statement workload at every step of a repair, which
+/// keeps the dispatcher busy far longer than pushing a storm takes.
+Tenant PlugTenant() {
+  scenario::Testbed& tb = TB();
+  simdb::Workload w;
+  for (int q = 1; q <= 22; ++q) {
+    w.AddStatement(workload::TpchQuery(tb.tpch_sf1(), q), 1.0);
+  }
+  return tb.MakeTenant(tb.pg_sf1(), w);
+}
+
+/// Duplicate-storm schedule: 6 tenants on 3 machines, each re-reporting
+/// ONE new workload kDup times behind a plug (PlugTenant's arrival), so
+/// the whole storm is enqueued before the dispatcher pops its first
+/// drift — every tenant's run is complete when its head pops, at any
+/// worker count.
+FleetSnapshot RunDuplicateStorm(const ServiceOptions& options) {
   constexpr int kTenants = 6;
   constexpr int kDup = 5;
-  auto run = [&](int workers, bool coalesce) {
-    AdvisorService service(Fleet(3), StressOptions(workers, coalesce));
-    for (int i = 0; i < kTenants; ++i) {
-      EventOutcome out = service.SubmitArrival(StressTenant(i)).get();
-      VDBA_CHECK(out.ok);
-    }
-    // Plug the loop with a Reconfigure so the whole storm is enqueued
-    // before the first drift is popped — guaranteeing runs to coalesce.
-    std::vector<std::future<EventOutcome>> futures;
-    futures.push_back(service.SubmitReconfigure());
-    for (int i = 0; i < kTenants; ++i) {
-      for (int d = 0; d < kDup; ++d) {
-        futures.push_back(service.SubmitDrift(i, StressWorkload(i, 3)));
-      }
-    }
-    for (std::future<EventOutcome>& f : futures) {
-      EventOutcome out = f.get();
-      EXPECT_TRUE(out.ok) << out.error;
-    }
-    service.Stop();
-    return service.Snapshot();
-  };
+  AdvisorService service(Fleet(3), options);
+  for (int i = 0; i < kTenants; ++i) {
+    EventOutcome out = service.SubmitArrival(StressTenant(i)).get();
+    VDBA_CHECK(out.ok);
+  }
+  // Workloads are built before the plug goes in, so the storm's
+  // submission is nothing but queue pushes.
+  std::vector<simdb::Workload> storm;
+  for (int i = 0; i < kTenants; ++i) {
+    for (int d = 0; d < kDup; ++d) storm.push_back(StressWorkload(i, 3));
+  }
+  Tenant plug = PlugTenant();
+  std::vector<std::future<EventOutcome>> futures;
+  futures.push_back(service.SubmitArrival(std::move(plug)));
+  for (size_t e = 0; e < storm.size(); ++e) {
+    futures.push_back(service.SubmitDrift(static_cast<int>(e) / kDup,
+                                          std::move(storm[e])));
+  }
+  for (std::future<EventOutcome>& f : futures) {
+    EventOutcome out = f.get();
+    EXPECT_TRUE(out.ok) << out.error;
+  }
+  service.Stop();
+  return service.Snapshot();
+}
 
-  const FleetSnapshot replay = run(/*workers=*/1, /*coalesce=*/false);
+TEST(ServiceStressTest, CoalescingCommutesWithUncoalescedReplay) {
+  // Uncoalesced replay: each tenant's first drift repairs, the next
+  // kDup-1 are bit-identical no-op keeps. Coalesced: the run collapses
+  // into one repair from the SAME incumbent at the SAME workload — so
+  // the final states must agree bitwise while the repair count drops,
+  // and by the same amount at every worker count.
+  const FleetSnapshot replay =
+      RunDuplicateStorm(StressOptions(/*workers=*/1, /*coalesce=*/false));
   EXPECT_EQ(replay.coalesced_drifts, 0);
 
-  const FleetSnapshot serial_coalesced = run(1, true);
-  ExpectStateBitIdentical(serial_coalesced, replay);
-  // The plug makes serial coalescing deterministic: each tenant's run is
-  // fully enqueued when its head pops, so repairs < events strictly.
-  EXPECT_GT(serial_coalesced.coalesced_drifts, 0);
+  const FleetSnapshot w1 = RunDuplicateStorm(StressOptions(1, true));
+  ExpectStateBitIdentical(w1, replay);
+  EXPECT_GT(w1.coalesced_drifts, 0);
 
-  const FleetSnapshot sharded_coalesced = run(4, true);
-  ExpectStateBitIdentical(sharded_coalesced, replay);
+  const FleetSnapshot w4 = RunDuplicateStorm(StressOptions(4, true));
+  ExpectStateBitIdentical(w4, replay);
+  EXPECT_EQ(w4.coalesced_drifts, w1.coalesced_drifts);
+}
+
+TEST(ServiceStressTest, ArmedCoalescingIsWorkerCountInvariant) {
+  // The same plugged storm under the default options, which arm
+  // migration: every run is handled in a global epoch, and coalescing
+  // must still absorb the same drifts at every worker count. (No
+  // comparison with the uncoalesced replay here: under armed migration a
+  // no-op duplicate may accept another migration, so skipping it can
+  // change the state.)
+  ServiceOptions options;
+  options.coalesce_drift = true;
+  options.workers = 1;
+  const FleetSnapshot w1 = RunDuplicateStorm(options);
+  options.workers = 4;
+  const FleetSnapshot w4 = RunDuplicateStorm(options);
+  ExpectStateBitIdentical(w4, w1);
+  EXPECT_GT(w1.coalesced_drifts, 0);
+  EXPECT_EQ(w4.coalesced_drifts, w1.coalesced_drifts);
 }
 
 }  // namespace
