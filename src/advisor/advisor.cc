@@ -28,9 +28,7 @@ Recommendation VirtualizationDesignAdvisor::Recommend(
       strategy->Run(estimator_.get(), QosList(), std::move(initial));
 
   Recommendation rec;
-  rec.strategy = res.effective_strategy.empty()
-                     ? std::string(strategy->name())
-                     : res.effective_strategy;
+  rec.strategy = std::string(strategy->name());
   rec.allocations = res.allocations;
   rec.estimated_seconds = res.tenant_costs;
   rec.objective = res.objective;

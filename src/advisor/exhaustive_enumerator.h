@@ -1,15 +1,13 @@
-// Exhaustive and local-search enumeration over the allocation simplex.
+// Local search over the allocation simplex, and the objective adapters
+// every allocation search shares.
 //
-// The paper validates the greedy search against exhaustive enumeration
-// (§4.5: within 5%, usually optimal) and reports "optimal" actual
-// improvements found by exhaustively measuring every feasible allocation
-// (§7.6-7.7). The exhaustive enumerator works for small N; the local-search
-// optimizer extends the comparison to larger N (multi-start hill climbing
-// with the same delta moves), which EXPERIMENTS.md documents as the
-// stand-in for the paper's brute-force sweeps. Both are dimension-generic.
-// Callers that want these behind the pipeline's common interface should
-// use ExhaustiveStrategy / LocalSearchStrategy (search_strategy.h), which
-// wrap the free functions via EstimatorObjective.
+// The paper reports "optimal" actual improvements found by measuring
+// allocations (§7.6-7.7). The exact grid argmin over estimates is the
+// "exhaustive" strategy (search_strategy.h, a DP at any N); the
+// multi-start hill climbing here uses the same delta moves as greedy and
+// serves callers that search over MEASURED costs from an arbitrary start
+// (the multi-resource and refinement benches). EstimatorObjective is also
+// annealing's batched objective. Everything here is dimension-generic.
 #ifndef VDBA_ADVISOR_EXHAUSTIVE_ENUMERATOR_H_
 #define VDBA_ADVISOR_EXHAUSTIVE_ENUMERATOR_H_
 
@@ -20,7 +18,6 @@
 #include "advisor/greedy_enumerator.h"
 #include "advisor/qos.h"
 #include "simvm/resource_vector.h"
-#include "util/status.h"
 
 namespace vdba::advisor {
 
@@ -51,22 +48,6 @@ struct SearchResult {
   double objective = 0.0;
   long evaluations = 0;
 };
-
-/// Enumerates every grid allocation (step = options.delta, shares >=
-/// options.min_share, sums <= 1 per resource) for N tenants over `dims`
-/// resource dimensions and returns the minimum. Exponential in N * dims;
-/// rejects N > 4. The scalar overload evaluates candidates one by one;
-/// the batched overload hands the grid to `f` in `batch_size` chunks
-/// (pair it with EstimatorObjective so a parallel estimator fans each
-/// chunk's cross-tenant probes out at once). Both visit the grid in the
-/// same order and break objective ties toward the earlier candidate.
-StatusOr<SearchResult> ExhaustiveSearch(int n, const AllocationObjective& f,
-                                        const EnumeratorOptions& options,
-                                        int dims = 2);
-
-StatusOr<SearchResult> ExhaustiveSearchBatched(
-    int n, const BatchAllocationObjective& f, const EnumeratorOptions& options,
-    int dims = 2, size_t batch_size = 512);
 
 /// Multi-start hill climbing with single-delta moves (the same move set as
 /// the greedy enumerator) from `starts`; returns the best local optimum.

@@ -1,31 +1,15 @@
 #include "advisor/search_strategy.h"
 
-#include <algorithm>
 #include <functional>
-#include <limits>
 #include <map>
 #include <utility>
 
-#include "advisor/exhaustive_enumerator.h"
 #include "advisor/greedy_enumerator.h"
 #include "search/annealing_strategy.h"
 #include "search/dp_prune_strategy.h"
 #include "util/check.h"
 
 namespace vdba::advisor {
-
-namespace {
-
-/// ExhaustiveSearch is exponential in tenants; beyond this it degenerates
-/// to multi-start local search (matching the free function's N > 4 reject).
-constexpr int kExhaustiveMaxTenants = 4;
-
-int ClampToInt(long v) {
-  return static_cast<int>(
-      std::min<long>(v, std::numeric_limits<int>::max()));
-}
-
-}  // namespace
 
 EnumerationResult FinalizeEnumeration(
     CostEstimator* estimator, const std::vector<QosSpec>& qos,
@@ -76,18 +60,6 @@ const std::map<std::string, StrategyFactory>& Registry() {
        }},
       {"exhaustive",
        [](const SearchSpec& spec) {
-         return std::make_unique<ExhaustiveStrategy>(spec.enumerator);
-       }},
-      {"local_search",
-       [](const SearchSpec& spec) {
-         return std::make_unique<LocalSearchStrategy>(spec.enumerator);
-       }},
-      {"greedy_refine",
-       [](const SearchSpec& spec) {
-         return std::make_unique<GreedyRefineStrategy>(spec.enumerator);
-       }},
-      {"dp_prune",
-       [](const SearchSpec& spec) {
          return std::make_unique<search::DpPruneStrategy>(spec.enumerator);
        }},
       {"annealing",
@@ -99,121 +71,6 @@ const std::map<std::string, StrategyFactory>& Registry() {
 }
 
 }  // namespace
-
-EnumerationResult ExhaustiveStrategy::Run(
-    CostEstimator* estimator, const std::vector<QosSpec>& qos,
-    std::vector<simvm::ResourceVector> initial) const {
-  const int n = estimator->num_tenants();
-  const int dims = estimator->num_dims();
-  VDBA_CHECK_EQ(qos.size(), static_cast<size_t>(n));
-
-  BatchAllocationObjective batched = EstimatorObjective(estimator, qos);
-  SearchResult best;
-  bool fell_back = false;
-  if (n <= kExhaustiveMaxTenants) {
-    // The grid holds pinned dimensions at 1/N; when the caller supplies a
-    // starting point, substitute its pinned shares into every candidate
-    // BEFORE scoring (the CPU-only experiments fix memory at the
-    // experiment value, so the argmin must be taken at those shares, not
-    // at 1/N — estimates are not separable across dimensions).
-    auto pin = [this, &initial, n, dims](
-                   std::vector<simvm::ResourceVector> alloc) {
-      if (initial.empty()) return alloc;
-      for (int i = 0; i < n; ++i) {
-        for (int d = 0; d < dims; ++d) {
-          if (!options_.Allocates(d)) {
-            alloc[static_cast<size_t>(i)].set(
-                d, initial[static_cast<size_t>(i)].share(d));
-          }
-        }
-      }
-      return alloc;
-    };
-    BatchAllocationObjective pinned =
-        [&batched, &pin](
-            const std::vector<std::vector<simvm::ResourceVector>>& batch) {
-          std::vector<std::vector<simvm::ResourceVector>> patched;
-          patched.reserve(batch.size());
-          for (const auto& alloc : batch) patched.push_back(pin(alloc));
-          return batched(patched);
-        };
-    if (!initial.empty()) {
-      VDBA_CHECK_EQ(initial.size(), static_cast<size_t>(n));
-    }
-    StatusOr<SearchResult> res =
-        ExhaustiveSearchBatched(n, pinned, options_, dims);
-    VDBA_CHECK_MSG(res.ok(), "exhaustive search failed: %s",
-                   res.status().ToString().c_str());
-    best = std::move(res.value());
-    best.allocations = pin(std::move(best.allocations));
-  } else {
-    std::vector<std::vector<simvm::ResourceVector>> starts;
-    starts.push_back(DefaultAllocation(n, dims));
-    if (!initial.empty()) {
-      for (simvm::ResourceVector& r : initial) r = r.Expanded(dims);
-      starts.push_back(std::move(initial));
-    }
-    best = LocalSearchBatched(starts, batched, options_);
-    fell_back = true;
-  }
-
-  EnumerationResult result =
-      FinalizeEnumeration(estimator, qos, std::move(best.allocations));
-  result.iterations = ClampToInt(best.evaluations);
-  result.converged = true;
-  if (fell_back) result.effective_strategy = "exhaustive(fallback:local_search)";
-  return result;
-}
-
-EnumerationResult LocalSearchStrategy::Run(
-    CostEstimator* estimator, const std::vector<QosSpec>& qos,
-    std::vector<simvm::ResourceVector> initial) const {
-  const int n = estimator->num_tenants();
-  const int dims = estimator->num_dims();
-  VDBA_CHECK_EQ(qos.size(), static_cast<size_t>(n));
-
-  std::vector<simvm::ResourceVector> start =
-      initial.empty() ? DefaultAllocation(n, dims) : std::move(initial);
-  for (simvm::ResourceVector& r : start) r = r.Expanded(dims);
-
-  SearchResult best = LocalSearchBatched(
-      {std::move(start)}, EstimatorObjective(estimator, qos), options_);
-
-  EnumerationResult result =
-      FinalizeEnumeration(estimator, qos, std::move(best.allocations));
-  result.iterations = ClampToInt(best.evaluations);
-  result.converged = true;
-  return result;
-}
-
-EnumerationResult GreedyRefineStrategy::Run(
-    CostEstimator* estimator, const std::vector<QosSpec>& qos,
-    std::vector<simvm::ResourceVector> initial) const {
-  GreedyEnumerator greedy(options_);
-  EnumerationResult greedy_result =
-      greedy.Run(estimator, qos, std::move(initial));
-
-  SearchResult polished = LocalSearchBatched(
-      {greedy_result.allocations}, EstimatorObjective(estimator, qos),
-      options_);
-
-  EnumerationResult result =
-      FinalizeEnumeration(estimator, qos, std::move(polished.allocations));
-  // Local search optimizes the unconstrained objective; never trade a
-  // QoS-clean greedy result for a violating polish, nor accept a polish
-  // that did not actually improve.
-  bool new_violations =
-      greedy_result.violated_qos.empty() && !result.violated_qos.empty();
-  if (new_violations || result.objective > greedy_result.objective) {
-    greedy_result.iterations =
-        ClampToInt(greedy_result.iterations + polished.evaluations);
-    return greedy_result;
-  }
-  result.iterations =
-      ClampToInt(greedy_result.iterations + polished.evaluations);
-  result.converged = greedy_result.converged;
-  return result;
-}
 
 std::unique_ptr<SearchStrategy> MakeSearchStrategy(const SearchSpec& spec) {
   auto it = Registry().find(spec.strategy);

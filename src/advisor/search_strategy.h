@@ -2,15 +2,15 @@
 //
 // The paper treats configuration enumeration as a swappable component of
 // the advisor: greedy search (Figure 11) is the practical instance, with
-// exhaustive enumeration as the quality yardstick (§4.5, Figure 24) and
-// local search as its stand-in at larger N. SearchStrategy is the one
-// interface every pipeline stage — VirtualizationDesignAdvisor,
-// OnlineRefinement, DynamicConfigurationManager — enumerates through, and
-// MakeSearchStrategy is the string-keyed factory that turns a SearchSpec
-// into a strategy, so comparing greedy vs exhaustive vs greedy+refine is a
-// one-line configuration change. Every strategy consumes the batched
-// CostEstimator interface (EstimateMany / EstimatorObjective), so the
-// cross-tenant fan-out of PR 3 applies regardless of the search policy.
+// exhaustive enumeration as the quality yardstick (§4.5, Figure 24).
+// SearchStrategy is the one interface every pipeline stage —
+// VirtualizationDesignAdvisor, OnlineRefinement,
+// DynamicConfigurationManager — enumerates through, and MakeSearchStrategy
+// is the string-keyed factory that turns a SearchSpec into a strategy, so
+// comparing greedy vs exhaustive vs annealing is a one-line configuration
+// change. Every strategy consumes the batched CostEstimator interface
+// (EstimateMany / EstimatorObjective), so the cross-tenant fan-out applies
+// regardless of the search policy.
 #ifndef VDBA_ADVISOR_SEARCH_STRATEGY_H_
 #define VDBA_ADVISOR_SEARCH_STRATEGY_H_
 
@@ -33,31 +33,26 @@ struct EnumerationResult {
   double objective = 0.0;
   /// Unweighted per-tenant estimated costs at the final allocation.
   std::vector<double> tenant_costs;
-  /// Greedy: move iterations. Exhaustive/local search: objective
-  /// evaluations (clamped to int).
+  /// Greedy and annealing: move iterations. Exhaustive: DP table
+  /// expansions (clamped to int).
   int iterations = 0;
+  /// False when the search could not run to completion — e.g. an
+  /// exhaustive search over an empty grid (N * min_share > 1), which
+  /// returns its starting allocation.
   bool converged = false;
   /// Tenants whose degradation limit could not be satisfied (best-effort
   /// allocation still returned).
   std::vector<int> violated_qos;
-  /// What actually ran, when it differs from the strategy's registry key —
-  /// e.g. "exhaustive(fallback:local_search)" when ExhaustiveStrategy
-  /// degenerates past its tenant limit. Empty means the registry key is
-  /// the truth; Recommendation::strategy prefers this when set.
-  std::string effective_strategy;
 };
 
 /// Selects and parameterizes a search strategy. The strategy key is a
 /// plain string so benches/configs can sweep policies without code
 /// changes; MakeSearchStrategy resolves it against the registry.
 struct SearchSpec {
-  /// Registered keys: "greedy" (default, Figure 11), "exhaustive" (grid
-  /// enumeration; local-search fallback beyond 4 tenants), "local_search"
-  /// (steepest-descent hill climbing), "greedy_refine" (greedy then a
-  /// batched local-search polish), "dp_prune" (dominance-pruned DP over
-  /// tenant prefixes — exhaustive-optimal on the same grid at any N;
-  /// src/search/), "annealing" (batched simulated annealing;
-  /// src/search/).
+  /// Registered keys: "greedy" (default, Figure 11), "exhaustive" (the
+  /// exact grid argmin at any N, by a dominance-pruned DP over tenant
+  /// prefixes; src/search/dp_prune_strategy.h), "annealing" (batched
+  /// simulated annealing; src/search/annealing_strategy.h).
   std::string strategy = "greedy";
   /// Move grid shared by every strategy (delta steps, min_share, pinned
   /// dimensions, delta schedules).
@@ -107,60 +102,6 @@ class SearchStrategy {
 
   /// Registry key of this strategy (what MakeSearchStrategy resolves).
   virtual std::string_view name() const = 0;
-};
-
-/// Exhaustive grid enumeration through the batched estimator objective.
-/// Exponential in tenants x dimensions, so beyond 4 tenants it falls back
-/// to multi-start local search (the paper's own stand-in for brute force,
-/// §7.6). Dimensions the options pin keep the `initial` shares when one is
-/// given (the 1/N grid default otherwise).
-class ExhaustiveStrategy : public SearchStrategy {
- public:
-  explicit ExhaustiveStrategy(EnumeratorOptions options)
-      : options_(std::move(options)) {}
-
-  EnumerationResult Run(
-      CostEstimator* estimator, const std::vector<QosSpec>& qos,
-      std::vector<simvm::ResourceVector> initial) const override;
-  std::string_view name() const override { return "exhaustive"; }
-
- private:
-  EnumeratorOptions options_;
-};
-
-/// Steepest-descent local search (LocalSearchBatched) from the caller's
-/// starting point, with each pass's move frontier evaluated in one
-/// EstimateMany fan-out via EstimatorObjective.
-class LocalSearchStrategy : public SearchStrategy {
- public:
-  explicit LocalSearchStrategy(EnumeratorOptions options)
-      : options_(std::move(options)) {}
-
-  EnumerationResult Run(
-      CostEstimator* estimator, const std::vector<QosSpec>& qos,
-      std::vector<simvm::ResourceVector> initial) const override;
-  std::string_view name() const override { return "local_search"; }
-
- private:
-  EnumeratorOptions options_;
-};
-
-/// Greedy search followed by a batched local-search polish from the greedy
-/// optimum — the composition the API exists for. Falls back to the plain
-/// greedy result when the polish would violate a degradation limit the
-/// greedy result satisfies.
-class GreedyRefineStrategy : public SearchStrategy {
- public:
-  explicit GreedyRefineStrategy(EnumeratorOptions options)
-      : options_(std::move(options)) {}
-
-  EnumerationResult Run(
-      CostEstimator* estimator, const std::vector<QosSpec>& qos,
-      std::vector<simvm::ResourceVector> initial) const override;
-  std::string_view name() const override { return "greedy_refine"; }
-
- private:
-  EnumeratorOptions options_;
 };
 
 /// Shared result finalization every strategy (greedy included) ends with:

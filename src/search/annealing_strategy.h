@@ -1,15 +1,18 @@
 // Simulated-annealing search over the allocation move graph.
 //
-// The cheap stochastic counterpoint to DpPruneStrategy for the ablation
-// bench: where the DP pays for provable optimality with a table, annealing
-// pays almost nothing and occasionally escapes the local optima that trap
-// steepest-descent local search. Moves are the same pairwise share
-// transfers LocalSearchBatched uses (lower one tenant, raise another, same
-// dimension and finest delta step), the whole frontier is priced through
-// one CostEstimator::EstimateMany fan-out per iteration, and all
-// randomness comes from a fixed-seed vdba::Rng so repeated runs on the
-// same inputs are bit-identical — the SearchStrategy determinism contract
-// holds despite the stochastic acceptance rule.
+// The cheap stochastic counterpoint to the exact "exhaustive" DP
+// (DpPruneStrategy): where the DP pays for provable optimality with a
+// table, annealing pays almost nothing and occasionally escapes the local
+// optima that trap greedy and steepest-descent local search. In the
+// ablation bench's M = 4 sweep it reaches the DP's optimum at N = 16 in a
+// fraction of the DP's time, where greedy stops short, so it sits between
+// the two on the quality/latency frontier. Moves are the same pairwise
+// share transfers LocalSearchBatched uses (lower one tenant, raise
+// another, same dimension and finest delta step), the whole frontier is
+// priced through one CostEstimator::EstimateMany fan-out per iteration,
+// and all randomness comes from a fixed-seed vdba::Rng so repeated runs on
+// the same inputs are bit-identical — the SearchStrategy determinism
+// contract holds despite the stochastic acceptance rule.
 #ifndef VDBA_SEARCH_ANNEALING_STRATEGY_H_
 #define VDBA_SEARCH_ANNEALING_STRATEGY_H_
 

@@ -147,15 +147,32 @@ EnumerationResult DpPruneStrategy::Run(
     for (ResourceVector& r : initial) r = r.Expanded(dims);
   }
 
-  const BudgetGrid grid(options_.delta, options_.min_share);
   std::vector<int> adims;  // dimensions the enumeration moves
   for (int d = 0; d < dims; ++d) {
     if (options_.Allocates(d)) adims.push_back(d);
   }
 
+  // An empty grid: N * min_share overflows an enumerated dimension's
+  // budget (the BudgetGrid::MaxSteps(0, n) < 0 test, spelled out because
+  // BudgetGrid itself rejects min_share > 1). Return the start
+  // unconverged, as greedy returns its start when no move is legal.
+  const double min_share = options_.min_share;
+  if (!adims.empty() &&
+      min_share > 1.0 - min_share * static_cast<double>(n - 1) +
+                      kGridEpsilon) {
+    EnumerationResult result = advisor::FinalizeEnumeration(
+        estimator, qos,
+        initial.empty() ? advisor::DefaultAllocation(n, dims)
+                        : std::move(initial));
+    result.converged = false;
+    return result;
+  }
+
+  const BudgetGrid grid(options_.delta, min_share);
+
   // Tenant i's allocation with every non-enumerated dimension already at
   // its final share: the caller's pinned share when an initial allocation
-  // was given, the 1/N default otherwise — ExhaustiveStrategy's pin().
+  // was given, the 1/N default otherwise.
   auto base_for = [&](int i) {
     ResourceVector r = ResourceVector::Uniform(dims, 1.0 / n);
     if (!initial.empty()) {
@@ -232,10 +249,10 @@ EnumerationResult DpPruneStrategy::Run(
         min_steps = std::min(min_steps, e.steps[static_cast<size_t>(d)]);
       }
       const int cap = grid.MaxSteps(grid.Used(i, min_steps), remaining);
-      VDBA_CHECK_MSG(cap >= 0,
-                     "dp_prune: no feasible grid allocation (n=%d, "
-                     "min_share=%g leaves no budget in dimension %d)",
-                     n, options_.min_share, d);
+      // Past the empty-grid return the all-floor prefix (zero extra
+      // steps) fits; only its own key can dominate it, so it survives
+      // every Prune() and keeps min_steps at 0.
+      VDBA_CHECK_GE(cap, 0);
       loose_cap[static_cast<size_t>(d)] = cap;
     }
     std::vector<ResourceVector> opts;
@@ -316,8 +333,7 @@ EnumerationResult DpPruneStrategy::Run(
       }
     }
     if (i + 1 < n) table.Prune();  // final level feeds selection directly
-    VDBA_CHECK_MSG(!table.entries().empty(),
-                   "dp_prune: no feasible grid allocation at tenant %d", i);
+    VDBA_CHECK(!table.entries().empty());
     levels.push_back(table.entries());
   }
 

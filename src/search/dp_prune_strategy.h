@@ -1,20 +1,22 @@
-// Dominance-pruned dynamic-programming search over the allocation grid.
+// The exact allocation search: a dominance-pruned dynamic program over
+// the allocation grid, registered as "exhaustive".
 //
-// ExhaustiveStrategy walks the full cartesian grid (exponential in
-// N x M), so past 4 tenants it degenerates to local search and the
-// optimality yardstick disappears. DpPruneStrategy keeps the yardstick:
-// the objective is separable per tenant (sum_i G_i * Cost_i(R_i)) and the
-// only coupling between tenants is the per-dimension share budget, so the
-// grid argmin can be computed bottom-up over tenant prefixes — for each
-// prefix and each discretized residual budget, memoize the best partial
-// allocation, and prune any table entry whose (cost, per-dimension
-// residual) is dominated by another. This is the classic DP-table shape of
-// RDF-3X's PlanGen (a `DPset` of subproblems, each keeping only its
-// non-dominated plans), transplanted from join ordering to allocation
-// search. The result is bit-exact with ExhaustiveStrategy on the same grid
-// (same share doubles, same objective accumulation order, same grid-order
-// tie-break) while the table size is polynomial in the budget
-// discretization instead of exponential in N.
+// The paper's quality yardstick is the grid argmin (§4.5, Figure 24), and
+// walking the full cartesian grid is exponential in N x M. The DP gets the
+// same answer without the walk: the objective is separable per tenant
+// (sum_i G_i * Cost_i(R_i)) and the only coupling between tenants is the
+// per-dimension share budget, so the grid argmin can be computed
+// bottom-up over tenant prefixes — for each prefix and each discretized
+// residual budget, memoize the best partial allocation, and prune any
+// table entry whose (cost, per-dimension residual) is dominated by
+// another. This is the classic DP-table shape of RDF-3X's PlanGen (a
+// `DPset` of subproblems, each keeping only its non-dominated plans),
+// transplanted from join ordering to allocation search. The result is
+// bit-exact with a grid walk on the same grid (same share doubles, same
+// objective accumulation order, same grid-order tie-break; the walk is
+// kept as the test oracle in tests/grid_oracle.h). The table grows with
+// each dimension's residual budget, (1 - N * min_share) / delta steps,
+// rather than exponentially with N.
 //
 // Each DP level prices all of one tenant's candidate grid allocations
 // through ONE CostEstimator::EstimateMany fan-out, so the vectorized
@@ -40,11 +42,11 @@ namespace vdba::search {
 /// \brief The discretized share ladder of one allocated dimension.
 ///
 /// Shares on the grid are min_share + k * delta for k = 0, 1, ... — and
-/// the doubles are generated with the same repeated-addition loop as
-/// ExhaustiveSearch's share enumeration, so a ladder value is bitwise
-/// identical to the share the exhaustive walk would produce. `k` (the
-/// number of *extra* delta steps beyond the min_share floor) is the unit
-/// of the DP's residual-budget accounting: a prefix of `i` tenants that
+/// the doubles are generated with the same repeated-addition loop as a
+/// grid walk's share enumeration, so a ladder value is bitwise identical
+/// to the share the walk would produce. `k` (the number of *extra* delta
+/// steps beyond the min_share floor) is the unit of the DP's
+/// residual-budget accounting: a prefix of `i` tenants that
 /// spent `S` total extra steps in a dimension has consumed
 /// `i * min_share + S * delta` of that dimension's budget of 1.
 class BudgetGrid {
@@ -151,17 +153,19 @@ class DpMemoTable {
       index_;
 };
 
-/// \brief Provably-optimal grid search that scales past N = 4.
+/// \brief The exact grid argmin at any N (registry key "exhaustive").
 ///
-/// Returns the same allocation as ExhaustiveStrategy on the same grid
-/// (bit-identical doubles, including ties) for any N, without ever
-/// materializing the cartesian product: the DP table over (tenant prefix,
-/// residual budget) grows with the budget discretization, not with N.
-/// Dimensions the options pin keep the `initial` shares when one is given
-/// (the 1/N grid default otherwise), exactly like ExhaustiveStrategy;
+/// Returns the grid walk's allocation (bit-identical doubles, including
+/// ties) without ever materializing the cartesian product: the DP table
+/// over (tenant prefix, residual budget) grows with the budget
+/// discretization, not with N. Dimensions the options pin keep the
+/// `initial` shares when one is given (the 1/N default otherwise);
 /// `initial` is otherwise ignored — an exact search has nothing to warm-
 /// start from. Delta schedules do not apply (the grid is the base
-/// `options.delta`, as in ExhaustiveStrategy).
+/// `options.delta`). When the grid is empty (N * min_share > 1 in an
+/// enumerated dimension) Run() returns the starting allocation — the
+/// caller's `initial`, or 1/N — with `converged = false`, as greedy does
+/// when no move is legal.
 class DpPruneStrategy : public advisor::SearchStrategy {
  public:
   explicit DpPruneStrategy(advisor::EnumeratorOptions options)
@@ -171,7 +175,7 @@ class DpPruneStrategy : public advisor::SearchStrategy {
       advisor::CostEstimator* estimator,
       const std::vector<advisor::QosSpec>& qos,
       std::vector<simvm::ResourceVector> initial) const override;
-  std::string_view name() const override { return "dp_prune"; }
+  std::string_view name() const override { return "exhaustive"; }
 
  private:
   advisor::EnumeratorOptions options_;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "advisor/exhaustive_enumerator.h"
+#include "grid_oracle.h"
 #include "scenario/scenario.h"
 #include "workload/tpch.h"
 #include "workload/units.h"
@@ -129,6 +129,44 @@ TEST_F(AdvisorTest, EstimateTotalsMatchComponentEstimates) {
   double sum = adv.estimator()->EstimateSeconds(0, def[0]) +
                adv.estimator()->EstimateSeconds(1, def[1]);
   EXPECT_NEAR(total, sum, 1e-9);
+}
+
+TEST_F(AdvisorTest, ExhaustiveOnAnEmptyGridReturnsItsStart) {
+  // N * min_share > 1 leaves no grid allocation: the exact search returns
+  // its starting allocation, unconverged, instead of aborting.
+  struct Case {
+    int n;
+    double min_share;
+  };
+  for (Case c : {Case{21, 0.05}, Case{4, 0.3}}) {
+    SCOPED_TRACE(testing::Message() << "n=" << c.n);
+    std::vector<Tenant> tenants;
+    for (int i = 0; i < c.n; ++i) {
+      tenants.push_back(tb().MakeTenant(
+          tb().db2_sf1(), i % 2 == 0 ? CpuHeavy(1) : IoHeavy(2)));
+    }
+    AdvisorOptions opts;
+    opts.search.strategy = "exhaustive";
+    opts.search.enumerator.min_share = c.min_share;
+    VirtualizationDesignAdvisor adv(tb().machine(), tenants, opts);
+    const int dims = adv.estimator()->num_dims();
+
+    Recommendation rec = adv.Recommend();
+    EXPECT_EQ(rec.strategy, "exhaustive");
+    EXPECT_FALSE(rec.converged);
+    EXPECT_EQ(rec.allocations, DefaultAllocation(c.n, dims));
+    ASSERT_EQ(rec.estimated_seconds.size(), static_cast<size_t>(c.n));
+    EXPECT_NEAR(rec.estimated_improvement, 0.0, 1e-9);
+
+    // A caller-supplied start is what comes back.
+    std::vector<simvm::ResourceVector> start =
+        DefaultAllocation(c.n, dims);
+    start[0].set(simvm::kCpuDim, start[0].cpu_share() + 0.01);
+    start[1].set(simvm::kCpuDim, start[1].cpu_share() - 0.01);
+    Recommendation warm = adv.Recommend(start);
+    EXPECT_FALSE(warm.converged);
+    EXPECT_EQ(warm.allocations, start);
+  }
 }
 
 }  // namespace

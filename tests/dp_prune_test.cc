@@ -1,14 +1,18 @@
-// The dominance-pruned DP search: grid discretization round-trips, memo
-// table determinism (ties keep the first-inserted entry), strict-domination
-// pruning, and the headline property — bit-exact agreement with exhaustive
-// enumeration on the same grid, including QoS verdicts.
+// The dominance-pruned DP behind the "exhaustive" key: grid
+// discretization round-trips, memo table determinism (ties keep the
+// first-inserted entry), strict-domination pruning, and the headline
+// property — bit-exact agreement with the grid-walk oracle
+// (tests/grid_oracle.h) on the same grid, including QoS verdicts.
 #include "search/dp_prune_strategy.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
+#include "advisor/exhaustive_enumerator.h"
 #include "advisor/search_strategy.h"
+#include "grid_oracle.h"
 #include "util/rng.h"
 
 namespace vdba::search {
@@ -16,6 +20,7 @@ namespace {
 
 using advisor::CostEstimator;
 using advisor::EnumerationResult;
+using advisor::GridWalkEnumerate;
 using advisor::MakeSearchStrategy;
 using advisor::QosSpec;
 using advisor::SearchSpec;
@@ -43,6 +48,32 @@ class SyntheticEstimator : public CostEstimator {
 
  private:
   std::vector<double> alpha_cpu_, alpha_mem_, beta_;
+};
+
+/// Closed-form four-dimensional estimator: Cost_i(R) = sum_d
+/// alpha[i][d] / R_d + beta[i].
+class Synthetic4dEstimator : public CostEstimator {
+ public:
+  Synthetic4dEstimator(std::vector<std::array<double, 4>> alpha,
+                       std::vector<double> beta)
+      : alpha_(std::move(alpha)), beta_(std::move(beta)) {}
+
+  double EstimateSeconds(int tenant, const ResourceVector& r) override {
+    const size_t i = static_cast<size_t>(tenant);
+    double cost = beta_[i];
+    for (int d = 0; d < 4; ++d) {
+      cost += alpha_[i][static_cast<size_t>(d)] / r.share(d);
+    }
+    return cost;
+  }
+  int num_tenants() const override {
+    return static_cast<int>(alpha_.size());
+  }
+  int num_dims() const override { return 4; }
+
+ private:
+  std::vector<std::array<double, 4>> alpha_;
+  std::vector<double> beta_;
 };
 
 TEST(BudgetGridTest, StepsForRoundTripsEveryRung) {
@@ -195,11 +226,31 @@ EnumerationResult RunStrategy(const std::string& name,
   return MakeSearchStrategy(spec)->Run(&est, qos, std::move(initial));
 }
 
+/// Bitwise agreement of two results: allocations, per-tenant costs,
+/// objective and QoS verdicts.
+void ExpectBitExact(const EnumerationResult& got,
+                    const EnumerationResult& want) {
+  ASSERT_EQ(got.allocations.size(), want.allocations.size());
+  for (size_t i = 0; i < want.allocations.size(); ++i) {
+    EXPECT_EQ(got.allocations[i], want.allocations[i]) << i;  // bitwise
+    EXPECT_EQ(got.tenant_costs[i], want.tenant_costs[i]) << i;
+  }
+  EXPECT_EQ(got.objective, want.objective);  // exact, not NEAR
+  EXPECT_EQ(got.violated_qos, want.violated_qos);
+  EXPECT_TRUE(got.converged);
+}
+
+/// A random gain factor, and a degradation limit half the time.
+void RandomizeQos(QosSpec* q, Rng* rng) {
+  q->gain_factor = rng->Uniform() < 0.5 ? 1.0 : 2.0;
+  if (rng->Uniform() < 0.5) q->degradation_limit = rng->Uniform(2.0, 6.0);
+}
+
 /// The headline property, swept over random workloads: on the same grid,
-/// dp_prune and exhaustive return bit-identical allocations, objectives,
-/// and QoS verdicts — in particular dp_prune can never report a violation
-/// where exhaustive found a feasible optimum.
-TEST(DpPruneStrategyTest, BitExactWithExhaustiveOverRandomWorkloads) {
+/// the "exhaustive" key and the grid walk return bit-identical
+/// allocations, objectives, and QoS verdicts — in particular the DP can
+/// never report a violation where the walk found a feasible optimum.
+TEST(DpPruneStrategyTest, BitExactWithTheGridWalkOverRandomWorkloads) {
   for (int n : {2, 3}) {
     for (uint64_t seed = 1; seed <= 6; ++seed) {
       Rng rng(seed * 0x9e3779b97f4a7c15ULL);
@@ -209,39 +260,64 @@ TEST(DpPruneStrategyTest, BitExactWithExhaustiveOverRandomWorkloads) {
         ac.push_back(rng.Uniform(1.0, 50.0));
         am.push_back(rng.Uniform(1.0, 50.0));
         beta.push_back(rng.Uniform(0.0, 5.0));
-        qos[static_cast<size_t>(i)].gain_factor =
-            rng.Uniform() < 0.5 ? 1.0 : 2.0;
-        if (rng.Uniform() < 0.5) {
-          qos[static_cast<size_t>(i)].degradation_limit =
-              rng.Uniform(2.0, 6.0);
-        }
+        RandomizeQos(&qos[static_cast<size_t>(i)], &rng);
       }
       SearchSpec base;
       if (n >= 3) base.enumerator.delta = 0.1;  // keep the grid small
 
+      SyntheticEstimator oracle_est(ac, am, beta);
       EnumerationResult want =
+          GridWalkEnumerate(&oracle_est, qos, base.enumerator);
+      EnumerationResult got =
           RunStrategy("exhaustive", base, ac, am, beta, qos);
-      EnumerationResult got = RunStrategy("dp_prune", base, ac, am, beta, qos);
 
       SCOPED_TRACE(testing::Message() << "n=" << n << " seed=" << seed);
-      ASSERT_EQ(got.allocations.size(), want.allocations.size());
-      for (size_t i = 0; i < want.allocations.size(); ++i) {
-        EXPECT_EQ(got.allocations[i], want.allocations[i]) << i;  // bitwise
-        EXPECT_EQ(got.tenant_costs[i], want.tenant_costs[i]) << i;
-      }
-      EXPECT_EQ(got.objective, want.objective);  // exact, not NEAR
-      EXPECT_EQ(got.violated_qos, want.violated_qos);
-      if (want.violated_qos.empty()) {
-        EXPECT_TRUE(got.violated_qos.empty());
-      }
-      EXPECT_TRUE(got.converged);
-      EXPECT_TRUE(got.effective_strategy.empty());  // never degenerates
+      ExpectBitExact(got, want);
     }
   }
 }
 
-TEST(DpPruneStrategyTest, BitExactWithExhaustiveUnderPinnedDimensions) {
-  // CPU-only mode with a caller-supplied memory split: the pin() path.
+TEST(DpPruneStrategyTest, BitExactWithTheGridWalkAtFourDimensions) {
+  // The ablation bench's two smallest M = 4 sweep points, over random
+  // four-dimensional workloads: every dimension is enumerated, so the DP's
+  // residual keys and grid-order tie-break run across all four.
+  struct Point {
+    int n;
+    double delta;
+    double min_share;
+  };
+  for (Point p : {Point{2, 0.2, 0.05}, Point{4, 0.2, 0.15}}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed * 0x2545f4914f6cdd1dULL + static_cast<uint64_t>(p.n));
+      std::vector<std::array<double, 4>> alpha(static_cast<size_t>(p.n));
+      std::vector<double> beta;
+      std::vector<QosSpec> qos(static_cast<size_t>(p.n));
+      for (int i = 0; i < p.n; ++i) {
+        for (double& a : alpha[static_cast<size_t>(i)]) {
+          a = rng.Uniform(1.0, 50.0);
+        }
+        beta.push_back(rng.Uniform(0.0, 5.0));
+        RandomizeQos(&qos[static_cast<size_t>(i)], &rng);
+      }
+      SearchSpec spec;
+      spec.strategy = "exhaustive";
+      spec.enumerator.delta = p.delta;
+      spec.enumerator.min_share = p.min_share;
+
+      Synthetic4dEstimator oracle_est(alpha, beta);
+      EnumerationResult want =
+          GridWalkEnumerate(&oracle_est, qos, spec.enumerator);
+      Synthetic4dEstimator dp_est(alpha, beta);
+      EnumerationResult got = MakeSearchStrategy(spec)->Run(&dp_est, qos, {});
+
+      SCOPED_TRACE(testing::Message() << "n=" << p.n << " seed=" << seed);
+      ExpectBitExact(got, want);
+    }
+  }
+}
+
+TEST(DpPruneStrategyTest, BitExactWithTheGridWalkUnderPinnedDimensions) {
+  // CPU-only mode with a caller-supplied memory split: the pinned path.
   SyntheticEstimator want_est({40, 5, 12}, {3, 9, 4}, {0, 0, 0});
   SyntheticEstimator got_est({40, 5, 12}, {3, 9, 4}, {0, 0, 0});
   std::vector<QosSpec> qos(3);
@@ -252,20 +328,15 @@ TEST(DpPruneStrategyTest, BitExactWithExhaustiveUnderPinnedDimensions) {
   spec.enumerator.allocate[simvm::kMemDim] = false;
   spec.enumerator.delta = 0.1;
 
+  EnumerationResult want =
+      GridWalkEnumerate(&want_est, qos, spec.enumerator, init);
   spec.strategy = "exhaustive";
-  EnumerationResult want = MakeSearchStrategy(spec)->Run(&want_est, qos, init);
-  spec.strategy = "dp_prune";
   EnumerationResult got = MakeSearchStrategy(spec)->Run(&got_est, qos, init);
-
-  ASSERT_EQ(got.allocations.size(), want.allocations.size());
-  for (size_t i = 0; i < want.allocations.size(); ++i) {
-    EXPECT_EQ(got.allocations[i], want.allocations[i]) << i;
-  }
-  EXPECT_EQ(got.objective, want.objective);
+  ExpectBitExact(got, want);
 }
 
-TEST(DpPruneStrategyTest, ScalesPastTheExhaustiveTenantLimitOptimally) {
-  // N = 6 is past ExhaustiveStrategy's grid limit; the DP still runs the
+TEST(DpPruneStrategyTest, ScalesPastTheGridWalkLimitOptimally) {
+  // N = 6 is past the grid walk's N <= 4 limit; the DP still runs the
   // true grid argmin, so it must beat-or-tie every heuristic on the same
   // grid — and its shares must respect the simplex.
   const std::vector<double> ac = {45, 2, 18, 3, 30, 7};
@@ -276,19 +347,24 @@ TEST(DpPruneStrategyTest, ScalesPastTheExhaustiveTenantLimitOptimally) {
   base.enumerator.delta = 0.1;
 
   // The heuristics move in delta steps FROM THEIR START, so "same grid"
-  // requires starting them on dp_prune's share ladder (min_share + k *
+  // requires starting them on the DP's share ladder (min_share + k *
   // delta) — the default 1/6 split is off-ladder and explores a shifted
   // grid the DP's optimum cannot be compared against.
   std::vector<ResourceVector> on_grid(6, ResourceVector{0.15, 0.15});
   on_grid[0] = ResourceVector{0.25, 0.25};
 
-  EnumerationResult dp = RunStrategy("dp_prune", base, ac, am, beta, qos);
+  EnumerationResult dp = RunStrategy("exhaustive", base, ac, am, beta, qos);
   EnumerationResult greedy =
       RunStrategy("greedy", base, ac, am, beta, qos, on_grid);
-  EnumerationResult local =
-      RunStrategy("local_search", base, ac, am, beta, qos, on_grid);
+  EnumerationResult annealing =
+      RunStrategy("annealing", base, ac, am, beta, qos, on_grid);
+  SyntheticEstimator local_est(ac, am, beta);
+  advisor::SearchResult local = advisor::LocalSearchBatched(
+      {on_grid}, advisor::EstimatorObjective(&local_est, qos),
+      base.enumerator);
 
   EXPECT_LE(dp.objective, greedy.objective + 1e-9);
+  EXPECT_LE(dp.objective, annealing.objective + 1e-9);
   EXPECT_LE(dp.objective, local.objective + 1e-9);
   for (int d = 0; d < 2; ++d) {
     double total = 0.0;

@@ -1,6 +1,10 @@
+// The grid-walk oracle (tests/grid_oracle.h) and the local-search free
+// functions that stay in src/.
 #include "advisor/exhaustive_enumerator.h"
 
 #include <gtest/gtest.h>
+
+#include "grid_oracle.h"
 
 namespace vdba::advisor {
 namespace {

@@ -4,7 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "advisor/advisor.h"
 #include "advisor/greedy_enumerator.h"
@@ -40,13 +41,10 @@ class SyntheticEstimator : public CostEstimator {
 };
 
 TEST(SearchStrategyFactoryTest, RoundTripsEveryRegisteredName) {
-  std::vector<std::string> names = RegisteredSearchStrategies();
-  for (const char* expected :
-       {"greedy", "exhaustive", "local_search", "greedy_refine", "dp_prune",
-        "annealing"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-  }
+  // One algorithm per key: the exact search answers to "exhaustive" only.
+  const std::vector<std::string> names = RegisteredSearchStrategies();
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"annealing", "exhaustive", "greedy"}));
   for (const std::string& name : names) {
     SearchSpec spec;
     spec.strategy = name;
@@ -57,26 +55,14 @@ TEST(SearchStrategyFactoryTest, RoundTripsEveryRegisteredName) {
 }
 
 TEST(SearchStrategyFactoryTest, UnknownNameAborts) {
-  SearchSpec spec;
-  spec.strategy = "branch_and_bound";
-  EXPECT_DEATH(MakeSearchStrategy(spec), "unknown search strategy");
-}
-
-TEST(SearchStrategyTest, ExhaustiveRecordsItsFallbackPastFourTenants) {
-  // At N <= 4 the grid actually runs: the registry key is the truth.
-  SyntheticEstimator small({36, 4}, {2, 8}, {0, 0});
-  SearchSpec spec;
-  spec.strategy = "exhaustive";
-  EnumerationResult grid =
-      MakeSearchStrategy(spec)->Run(&small, std::vector<QosSpec>(2), {});
-  EXPECT_TRUE(grid.effective_strategy.empty());
-
-  // At N > 4 it degenerates to local search and must say so.
-  SyntheticEstimator big({30, 4, 9, 2, 17}, {2, 12, 3, 8, 1},
-                         {0, 0, 0, 0, 0});
-  EnumerationResult fallback =
-      MakeSearchStrategy(spec)->Run(&big, std::vector<QosSpec>(5), {});
-  EXPECT_EQ(fallback.effective_strategy, "exhaustive(fallback:local_search)");
+  // Retired keys are unknown keys: "dp_prune" is now "exhaustive", and
+  // the two heuristics that never beat greedy are gone.
+  for (const char* retired : {"dp_prune", "local_search", "greedy_refine"}) {
+    SearchSpec spec;
+    spec.strategy = retired;
+    EXPECT_DEATH(MakeSearchStrategy(spec), "unknown search strategy")
+        << retired;
+  }
 }
 
 TEST(SearchStrategyTest, GreedyViaStrategyIsBitIdenticalToDirectCall) {
@@ -122,39 +108,7 @@ TEST(SearchStrategyTest, ExhaustiveBeatsOrTiesGreedyAtSmallN) {
 
   EXPECT_LE(exhaustive.objective, greedy.objective + 1e-9);
   EXPECT_TRUE(exhaustive.converged);
-  EXPECT_GT(exhaustive.iterations, 0);  // objective evaluations
-}
-
-TEST(SearchStrategyTest, GreedyRefineBeatsOrTiesGreedy) {
-  const std::vector<double> ac = {100, 1, 50, 2}, am = {1, 80, 2, 40},
-                            b = {0, 0, 0, 0};
-  std::vector<QosSpec> qos(4);
-  SearchSpec spec;
-
-  SyntheticEstimator greedy_est(ac, am, b);
-  spec.strategy = "greedy";
-  EnumerationResult greedy =
-      MakeSearchStrategy(spec)->Run(&greedy_est, qos, {});
-
-  SyntheticEstimator refine_est(ac, am, b);
-  spec.strategy = "greedy_refine";
-  EnumerationResult refined =
-      MakeSearchStrategy(spec)->Run(&refine_est, qos, {});
-
-  EXPECT_LE(refined.objective, greedy.objective + 1e-9);
-}
-
-TEST(SearchStrategyTest, LocalSearchFindsTheSkewedOptimum) {
-  // One CPU-hungry tenant: hill climbing from 1/N must shift CPU hard.
-  SyntheticEstimator est({50, 1}, {1, 1}, {0, 0});
-  SearchSpec spec;
-  spec.strategy = "local_search";
-  EnumerationResult res =
-      MakeSearchStrategy(spec)->Run(&est, std::vector<QosSpec>(2), {});
-  EXPECT_GT(res.allocations[0].cpu_share(), 0.6);
-  EXPECT_NEAR(
-      res.allocations[0].cpu_share() + res.allocations[1].cpu_share(), 1.0,
-      1e-9);
+  EXPECT_GT(exhaustive.iterations, 0);  // DP table expansions
 }
 
 TEST(SearchStrategyTest, StrategiesRespectPinnedDimensionsFromInitial) {
