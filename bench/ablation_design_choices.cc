@@ -61,11 +61,14 @@ int main() {
     adv.Recommend();
     long calls = adv.estimator()->optimizer_calls();
     long hits = adv.estimator()->cache_hits();
+    long statement_hits = adv.estimator()->statement_hits();
     // Without the cache every (tenant, allocation) revisit would re-run the
     // optimizer: calls-without-cache = calls + hits * statements/visit.
+    // Without the statement memo, each statement it served would too.
     std::printf("optimizer calls with cache: %ld; cache hits: %ld "
-                "(each hit saves one full workload optimization)\n",
-                calls, hits);
+                "(each hit saves one full workload optimization); "
+                "statement-memo hits: %ld (each saves one statement)\n",
+                calls, hits, statement_hits);
   }
 
   // --- I/O-contention VM on/off ---

@@ -42,6 +42,9 @@ int main() {
   t.AddRow({"optimizer calls during search",
             std::to_string(adv.estimator()->optimizer_calls()),
             "cached and reused"});
+  t.AddRow({"statements served by the statement memo",
+            std::to_string(adv.estimator()->statement_hits()),
+            "exact (engine, statement, params) repeats"});
   t.AddRow({"estimator cache hits",
             std::to_string(adv.estimator()->cache_hits()), "-"});
 

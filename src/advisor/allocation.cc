@@ -47,6 +47,31 @@ std::vector<CandidateMove> MoveFrontier(
   return frontier;
 }
 
+std::vector<std::vector<simvm::ResourceVector>> PairwiseFrontier(
+    const std::vector<simvm::ResourceVector>& allocations,
+    const EnumeratorOptions& options) {
+  const size_t n = allocations.size();
+  const int dims = allocations.front().dims();
+  std::vector<std::vector<simvm::ResourceVector>> frontier;
+  for (int dim = 0; dim < dims; ++dim) {
+    if (!options.Allocates(dim)) continue;
+    const double delta = options.FinestDelta(dim);
+    for (size_t from = 0; from < n; ++from) {
+      if (!CanLower(allocations[from], dim, delta, options.min_share)) {
+        continue;
+      }
+      for (size_t to = 0; to < n; ++to) {
+        if (from == to || !CanRaise(allocations[to], dim, delta)) continue;
+        std::vector<simvm::ResourceVector> candidate = allocations;
+        candidate[from] = Lowered(candidate[from], dim, delta);
+        candidate[to] = Raised(candidate[to], dim, delta);
+        frontier.push_back(std::move(candidate));
+      }
+    }
+  }
+  return frontier;
+}
+
 std::vector<simvm::ResourceVector> DefaultAllocation(int n, int dims) {
   VDBA_CHECK_GT(n, 0);
   return std::vector<simvm::ResourceVector>(

@@ -87,6 +87,14 @@ std::vector<CandidateMove> MoveFrontier(
     const std::vector<simvm::ResourceVector>& allocations,
     const EnumeratorOptions& options, int dims, int stage = 0);
 
+/// Every feasible pairwise transfer at `allocations`: for each allocated
+/// dimension at its finest step, in (dim, from, to) order, the allocations
+/// with `from` lowered and `to` raised by that step. The move graph that
+/// LocalSearchBatched and the annealing strategy both explore.
+std::vector<std::vector<simvm::ResourceVector>> PairwiseFrontier(
+    const std::vector<simvm::ResourceVector>& allocations,
+    const EnumeratorOptions& options);
+
 /// Equal 1/N shares for N tenants over `dims` dimensions (the paper's
 /// default allocation, which every experiment uses as the baseline).
 std::vector<simvm::ResourceVector> DefaultAllocation(int n, int dims = 2);

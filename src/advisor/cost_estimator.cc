@@ -48,6 +48,10 @@ WhatIfCostEstimator::WhatIfCostEstimator(const simvm::PhysicalMachine& machine,
   VDBA_CHECK(!tenants_.empty());
   VDBA_CHECK_GT(options_.cache_granularity, 0.0);
   for (const Tenant& t : tenants_) ValidateTenant(t);
+  statement_ids_.reserve(tenants_.size());
+  for (const Tenant& t : tenants_) {
+    statement_ids_.push_back(memo_.Intern(t.engine, t.workload));
+  }
   observations_.resize(tenants_.size());
   cache_shards_.reserve(tenants_.size());
   for (size_t i = 0; i < tenants_.size(); ++i) {
@@ -84,21 +88,98 @@ WhatIfCostEstimator::CacheKey WhatIfCostEstimator::MakeKey(
   return key;
 }
 
-WhatIfCostEstimator::CacheValue WhatIfCostEstimator::Compute(
-    int tenant, const simvm::ResourceVector& r, long* calls) const {
+/// Every (probe, statement) pair of one pricing round, in the caller's
+/// layout, with its memo key and, once resolved, its value.
+struct WhatIfCostEstimator::StatementSlots {
+  std::vector<StatementMemo::Key> keys;
+  std::vector<StatementMemo::Value> values;
+  /// Signatures of the slots the caller priced, moved into the memo.
+  std::vector<std::string> signatures;
+  /// Slots the caller must price: the first slot of each key the memo
+  /// lacks, ascending. The caller sets their native_cost and signature.
+  std::vector<size_t> absent;
+  /// (slot, source): later slots of an absent key, copied from `source`.
+  std::vector<std::pair<size_t, size_t>> copies;
+};
+
+void WhatIfCostEstimator::LookUp(StatementSlots* slots) {
+  const size_t n = slots->keys.size();
+  slots->values.assign(n, StatementMemo::Value{});
+  slots->signatures.resize(n);
+  std::vector<size_t> missing;
+  {
+    StatementMemo::Locked memo = memo_.Lock();
+    for (size_t i = 0; i < n; ++i) {
+      if (!memo.Find(slots->keys[i], &slots->values[i])) missing.push_back(i);
+    }
+  }
+  // Equal keys sort next to each other, first slot first: price that one
+  // and copy it to the rest.
+  const std::vector<StatementMemo::Key>& keys = slots->keys;
+  std::stable_sort(missing.begin(), missing.end(),
+                   [&](size_t a, size_t b) { return keys[a] < keys[b]; });
+  for (size_t i = 0; i < missing.size(); ++i) {
+    if (i > 0 && keys[missing[i]] == keys[slots->absent.back()]) {
+      slots->copies.emplace_back(missing[i], slots->absent.back());
+    } else {
+      slots->absent.push_back(missing[i]);
+    }
+  }
+  std::sort(slots->absent.begin(), slots->absent.end());
+}
+
+void WhatIfCostEstimator::Record(StatementSlots* slots) {
+  if (!slots->absent.empty()) {
+    StatementMemo::Locked memo = memo_.Lock();
+    for (size_t i : slots->absent) {
+      slots->values[i] =
+          memo.Insert(slots->keys[i], slots->values[i].native_cost,
+                      std::move(slots->signatures[i]));
+    }
+  }
+  for (const auto& [slot, source] : slots->copies) {
+    slots->values[slot] = slots->values[source];
+  }
+  const long priced = static_cast<long>(slots->absent.size());
+  optimizer_calls_.fetch_add(priced, std::memory_order_relaxed);
+  statement_hits_.fetch_add(static_cast<long>(slots->keys.size()) - priced,
+                            std::memory_order_relaxed);
+}
+
+WhatIfCostEstimator::CacheValue WhatIfCostEstimator::Total(
+    int tenant, const simvm::ResourceVector& r, const StatementSlots& slots,
+    size_t first, size_t stride) const {
   const Tenant& t = tenants_[static_cast<size_t>(tenant)];
-  simdb::EngineParams params =
-      t.calibration->ParamsFor(r, machine_.VmMemoryMb(r));
   double total = 0.0;
   std::string signature;
-  for (const auto& stmt : t.workload.statements) {
-    simdb::OptimizeResult opt = t.engine->WhatIfOptimize(stmt.query, params);
-    ++*calls;
-    total += t.calibration->ToSeconds(opt.native_cost, r) * stmt.frequency;
-    signature += opt.signature;
+  for (size_t s = 0; s < t.workload.statements.size(); ++s) {
+    const StatementMemo::Value& v = slots.values[first + s * stride];
+    total += t.calibration->ToSeconds(v.native_cost, r) *
+             t.workload.statements[s].frequency;
+    signature += *v.signature;
     signature += ';';
   }
   return CacheValue{total, std::move(signature)};
+}
+
+WhatIfCostEstimator::CacheValue WhatIfCostEstimator::Compute(
+    int tenant, const simvm::ResourceVector& r) {
+  const Tenant& t = tenants_[static_cast<size_t>(tenant)];
+  simdb::EngineParams params =
+      t.calibration->ParamsFor(r, machine_.VmMemoryMb(r));
+  StatementSlots slots;
+  for (uint32_t id : statement_ids_[static_cast<size_t>(tenant)]) {
+    slots.keys.push_back(StatementMemo::MakeKey(id, params));
+  }
+  LookUp(&slots);
+  for (size_t s : slots.absent) {
+    simdb::OptimizeResult opt =
+        t.engine->WhatIfOptimize(t.workload.statements[s].query, params);
+    slots.values[s].native_cost = opt.native_cost;
+    slots.signatures[s] = std::move(opt.signature);
+  }
+  Record(&slots);
+  return Total(tenant, r, slots, 0, 1);
 }
 
 const WhatIfCostEstimator::CacheValue& WhatIfCostEstimator::Insert(
@@ -140,10 +221,7 @@ const WhatIfCostEstimator::CacheValue& WhatIfCostEstimator::Lookup(
       return it->second;
     }
   }
-  long calls = 0;
-  CacheValue value = Compute(tenant, canon, &calls);
-  optimizer_calls_.fetch_add(calls, std::memory_order_relaxed);
-  return Insert(key, tenant, canon, std::move(value));
+  return Insert(key, tenant, canon, Compute(tenant, canon));
 }
 
 double WhatIfCostEstimator::EstimateSeconds(int tenant,
@@ -174,7 +252,6 @@ struct WhatIfCostEstimator::Miss {
   int tenant;
   simvm::ResourceVector r;
   CacheValue value;
-  long calls = 0;
 };
 
 void WhatIfCostEstimator::ComputeMisses(std::vector<Miss>* misses) {
@@ -195,8 +272,12 @@ void WhatIfCostEstimator::ComputeMisses(std::vector<Miss>* misses) {
   }
 
   // Calibrated parameter vectors per group member (the scalar path derives
-  // them identically inside Compute).
+  // them identically inside Compute), and one memo slot per (member,
+  // statement): group g's member j and statement s sit at
+  // offset[g] + s * |g| + j.
   std::vector<std::vector<simdb::EngineParams>> group_params(groups.size());
+  std::vector<size_t> offset(groups.size());
+  StatementSlots slots;
   for (size_t g = 0; g < groups.size(); ++g) {
     const Tenant& t = tenants_[static_cast<size_t>(group_tenant[g])];
     group_params[g].reserve(groups[g].size());
@@ -205,75 +286,72 @@ void WhatIfCostEstimator::ComputeMisses(std::vector<Miss>* misses) {
       group_params[g].push_back(
           t.calibration->ParamsFor(miss.r, machine_.VmMemoryMb(miss.r)));
     }
+    offset[g] = slots.keys.size();
+    for (uint32_t id : statement_ids_[static_cast<size_t>(group_tenant[g])]) {
+      for (const simdb::EngineParams& params : group_params[g]) {
+        slots.keys.push_back(StatementMemo::MakeKey(id, params));
+      }
+    }
   }
+  LookUp(&slots);
 
-  // One task per (group, statement); each prices all group members.
+  // One task per (group, statement) with members left to price; its grid
+  // call prices exactly those members. Tenants' parameter vectors never
+  // share a grid call.
+  // `absent` ascends, so each task's slots arrive together.
   struct StmtTask {
     size_t group;
     size_t stmt;
+    std::vector<size_t> members;
   };
   std::vector<StmtTask> tasks;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const Tenant& t = tenants_[static_cast<size_t>(group_tenant[g])];
-    for (size_t s = 0; s < t.workload.statements.size(); ++s) {
-      tasks.push_back(StmtTask{g, s});
+  size_t g = 0;
+  for (size_t i : slots.absent) {
+    while (g + 1 < groups.size() && i >= offset[g + 1]) ++g;
+    const size_t k = groups[g].size();
+    const size_t s = (i - offset[g]) / k;
+    if (tasks.empty() || tasks.back().group != g || tasks.back().stmt != s) {
+      tasks.push_back(StmtTask{g, s, {}});
     }
-  }
-  std::vector<std::vector<double>> task_native(tasks.size());
-  std::vector<std::vector<std::string>> task_sig(tasks.size());
-  // task_of[g * max_stmts + s] would waste space; index per group instead.
-  std::vector<std::vector<size_t>> task_of(groups.size());
-  for (size_t ti = 0; ti < tasks.size(); ++ti) {
-    task_of[tasks[ti].group].push_back(ti);
+    tasks.back().members.push_back((i - offset[g]) % k);
   }
 
   auto run_task = [&](size_t ti) {
     const StmtTask& task = tasks[ti];
     const Tenant& t = tenants_[static_cast<size_t>(group_tenant[task.group])];
-    const auto& stmt = t.workload.statements[task.stmt];
-    std::vector<simdb::OptimizeResult> results =
-        t.engine->WhatIfOptimizeGrid(stmt.query, group_params[task.group]);
-    std::vector<double>& native = task_native[ti];
-    std::vector<std::string>& sig = task_sig[ti];
-    native.resize(results.size());
-    sig.resize(results.size());
-    for (size_t j = 0; j < results.size(); ++j) {
-      native[j] = results[j].native_cost;
-      sig[j] = std::move(results[j].signature);
+    const std::vector<simdb::EngineParams>& all = group_params[task.group];
+    std::vector<simdb::EngineParams> params;
+    params.reserve(task.members.size());
+    for (size_t j : task.members) params.push_back(all[j]);
+    std::vector<simdb::OptimizeResult> results = t.engine->WhatIfOptimizeGrid(
+        t.workload.statements[task.stmt].query, params);
+    const size_t base = offset[task.group] + task.stmt * all.size();
+    for (size_t i = 0; i < results.size(); ++i) {
+      const size_t slot = base + task.members[i];
+      slots.values[slot].native_cost = results[i].native_cost;
+      slots.signatures[slot] = std::move(results[i].signature);
     }
   };
 
   if (tasks.size() > 1) {
-    // Largest probe groups first: one big tenant picked up last would
-    // serialize the tail (LPT order).
+    // Largest tasks first: one big task picked up last would serialize
+    // the tail (LPT order).
     std::vector<size_t> order(tasks.size());
     std::iota(order.begin(), order.end(), size_t{0});
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return groups[tasks[a].group].size() > groups[tasks[b].group].size();
+      return tasks[a].members.size() > tasks[b].members.size();
     });
     pool()->ParallelForOrder(order, run_task);
   } else if (tasks.size() == 1) {
     run_task(0);
   }
+  Record(&slots);
 
-  // Assemble per-miss totals in statement order — the exact accumulation
-  // (and string concatenation) sequence of the scalar Compute.
   for (size_t g = 0; g < groups.size(); ++g) {
-    const Tenant& t = tenants_[static_cast<size_t>(group_tenant[g])];
     for (size_t j = 0; j < groups[g].size(); ++j) {
       Miss& miss = (*misses)[groups[g][j]];
-      double total = 0.0;
-      std::string signature;
-      for (size_t s = 0; s < t.workload.statements.size(); ++s) {
-        const auto& stmt = t.workload.statements[s];
-        size_t ti = task_of[g][s];
-        total += t.calibration->ToSeconds(task_native[ti][j], miss.r) *
-                 stmt.frequency;
-        signature += task_sig[ti][j];
-        signature += ';';
-      }
-      miss.value = CacheValue{total, std::move(signature)};
-      miss.calls = static_cast<long>(t.workload.statements.size());
+      miss.value = Total(group_tenant[g], miss.r, slots, offset[g] + j,
+                         groups[g].size());
     }
   }
 }
@@ -303,7 +381,7 @@ std::vector<double> WhatIfCostEstimator::EstimateMany(
     auto [it, inserted] =
         pending.emplace(key, static_cast<int>(misses.size()));
     if (inserted) {
-      misses.push_back(Miss{key, tenant, r, CacheValue{}, 0});
+      misses.push_back(Miss{key, tenant, r, CacheValue{}});
       miss_index[i] = it->second;
     }
   }
@@ -324,7 +402,6 @@ std::vector<double> WhatIfCostEstimator::EstimateMany(
     int m = miss_index[i];
     if (m >= 0) {
       Miss& miss = misses[static_cast<size_t>(m)];
-      optimizer_calls_.fetch_add(miss.calls, std::memory_order_relaxed);
       out[i] = Insert(miss.key, miss.tenant, miss.r, std::move(miss.value))
                    .est_seconds;
     } else {
@@ -344,7 +421,13 @@ double WhatIfCostEstimator::EstimateWithSignature(
 void WhatIfCostEstimator::SetWorkload(int tenant, simdb::Workload workload) {
   VDBA_CHECK_GE(tenant, 0);
   VDBA_CHECK_LT(static_cast<size_t>(tenant), tenants_.size());
-  tenants_[static_cast<size_t>(tenant)].workload = std::move(workload);
+  Tenant& t = tenants_[static_cast<size_t>(tenant)];
+  // Intern before releasing, so statements the old and new workloads share
+  // keep their ids and their memo entries.
+  std::vector<uint32_t> ids = memo_.Intern(t.engine, workload);
+  memo_.Release(statement_ids_[static_cast<size_t>(tenant)]);
+  statement_ids_[static_cast<size_t>(tenant)] = std::move(ids);
+  t.workload = std::move(workload);
   InvalidateTenant(tenant);
 }
 
@@ -363,6 +446,7 @@ void WhatIfCostEstimator::InvalidateTenant(int tenant) {
 
 int WhatIfCostEstimator::AddTenant(Tenant tenant) {
   ValidateTenant(tenant);
+  statement_ids_.push_back(memo_.Intern(tenant.engine, tenant.workload));
   tenants_.push_back(std::move(tenant));
   cache_shards_.push_back(std::make_unique<CacheShard>());
   {
@@ -376,6 +460,10 @@ void WhatIfCostEstimator::ReplaceTenant(int tenant, Tenant replacement) {
   VDBA_CHECK_GE(tenant, 0);
   VDBA_CHECK_LT(static_cast<size_t>(tenant), tenants_.size());
   ValidateTenant(replacement);
+  std::vector<uint32_t> ids =
+      memo_.Intern(replacement.engine, replacement.workload);
+  memo_.Release(statement_ids_[static_cast<size_t>(tenant)]);
+  statement_ids_[static_cast<size_t>(tenant)] = std::move(ids);
   tenants_[static_cast<size_t>(tenant)] = std::move(replacement);
   InvalidateTenant(tenant);
 }

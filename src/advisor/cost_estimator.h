@@ -10,10 +10,14 @@
 // allocations encountered during configuration enumeration to define the
 // A_ij intervals").
 //
-// A single uncached EstimateSeconds probe runs the scalar optimizer
-// (Optimizer::Optimize) once per statement. EstimateMany / EstimateBatch
-// price all of a batch's uncached probes through the batched what-if
-// kernel (Optimizer::OptimizeGrid); both paths give bit-identical values.
+// Below that cache sits an exact statement memo (StatementMemo): one
+// optimizer result per distinct (engine, statement, parameter vector), so
+// tenants sharing statements and probes that land on an already-priced
+// parameter vector skip the optimizer. A single uncached EstimateSeconds
+// probe runs the scalar optimizer (Optimizer::Optimize) once per statement
+// the memo lacks. EstimateMany / EstimateBatch price all of a batch's
+// absent statements through the batched what-if kernel
+// (Optimizer::OptimizeGrid); both paths give bit-identical values.
 #ifndef VDBA_ADVISOR_COST_ESTIMATOR_H_
 #define VDBA_ADVISOR_COST_ESTIMATOR_H_
 
@@ -27,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "advisor/statement_memo.h"
 #include "advisor/tenant.h"
 #include "simvm/hardware.h"
 #include "simvm/resource_vector.h"
@@ -127,10 +132,10 @@ struct WhatIfEstimatorOptions {
 ///
 /// Thread safety: concurrent EstimateSeconds / EstimateBatch /
 /// EstimateMany calls from multiple threads are safe — the cache is
-/// partitioned by tenant under reader-writer locks, the observation log
-/// and counters are internally synchronized, and the what-if computation
-/// itself is pure. SetWorkload and mutable_tenant are NOT safe concurrently
-/// with estimation.
+/// partitioned by tenant under reader-writer locks, the statement memo,
+/// the observation log and the counters are internally synchronized, and
+/// the what-if computation itself is pure. SetWorkload is NOT safe
+/// concurrently with estimation.
 class WhatIfCostEstimator : public CostEstimator {
  public:
   WhatIfCostEstimator(const simvm::PhysicalMachine& machine,
@@ -152,12 +157,15 @@ class WhatIfCostEstimator : public CostEstimator {
       std::span<const simvm::ResourceVector> candidates) override;
 
   /// Cross-tenant what-if estimation. Distinct uncached (tenant,
-  /// allocation) probes are grouped by tenant and priced through
-  /// WhatIfOptimizeGrid — one join enumeration per (statement,
-  /// memory-context group) instead of one per probe; (tenant, statement)
-  /// tasks fan out over the thread pool, heaviest groups first. Results,
-  /// cache state, observation logs, and the optimizer-call/cache-hit
-  /// counters are exactly those of the equivalent sequential run.
+  /// allocation) probes are grouped by tenant; every (probe, statement)
+  /// pair is looked up in the statement memo first, and each key it lacks
+  /// is priced once, even when several tenants share it. What remains is
+  /// priced through WhatIfOptimizeGrid — one join enumeration per
+  /// (tenant, statement, memory-context group) instead of one per probe;
+  /// (tenant, statement) tasks fan out over the thread pool, heaviest
+  /// first. Results, cache state, observation logs, and the counters are
+  /// exactly those of the equivalent sequential run (while the memo stays
+  /// below its cap).
   std::vector<double> EstimateMany(
       std::span<const TenantAllocation> batch) override;
 
@@ -166,7 +174,6 @@ class WhatIfCostEstimator : public CostEstimator {
                                std::string* signature);
 
   const std::vector<Tenant>& tenants() const { return tenants_; }
-  Tenant* mutable_tenant(int i) { return &tenants_[static_cast<size_t>(i)]; }
 
   /// Replaces a tenant's workload (dynamic changes, §6) and invalidates
   /// its cache and observation log.
@@ -219,6 +226,12 @@ class WhatIfCostEstimator : public CostEstimator {
   long optimizer_calls() const {
     return optimizer_calls_.load(std::memory_order_relaxed);
   }
+  /// Statements of uncached probes served by the statement memo instead
+  /// of the optimizer. optimizer_calls() + statement_hits() counts every
+  /// statement of every uncached probe.
+  long statement_hits() const {
+    return statement_hits_.load(std::memory_order_relaxed);
+  }
   /// Estimates served from cache.
   long cache_hits() const {
     return cache_hits_.load(std::memory_order_relaxed);
@@ -246,19 +259,30 @@ class WhatIfCostEstimator : public CostEstimator {
   };
 
   struct Miss;  // one distinct uncached probe of an EstimateMany batch
+  struct StatementSlots;  // (probe, statement) pairs of one pricing round
 
   CacheKey MakeKey(int tenant, const simvm::ResourceVector& r) const;
   CacheShard& ShardFor(const CacheKey& key) {
     return *cache_shards_[static_cast<size_t>(key.tenant)];
   }
-  /// Pure what-if computation (no cache/log mutation; thread-safe).
-  CacheValue Compute(int tenant, const simvm::ResourceVector& r,
-                     long* calls) const;
+  /// What-if computation of one probe. Reads and fills the statement
+  /// memo and bumps the counters, but leaves the allocation cache and the
+  /// observation log alone; thread-safe.
+  CacheValue Compute(int tenant, const simvm::ResourceVector& r);
   /// Fills every miss's value via the batched what-if kernel: misses
-  /// grouped by tenant, one WhatIfOptimizeGrid call per (group,
-  /// statement) task, tasks fanned over the pool. Bit-identical to
-  /// calling Compute per miss.
+  /// grouped by tenant, statements the memo lacks priced by one
+  /// WhatIfOptimizeGrid call per (group, statement) task, tasks fanned
+  /// over the pool. Bit-identical to calling Compute per miss.
   void ComputeMisses(std::vector<Miss>* misses);
+  /// Resolves `slots`' keys against the memo and lists each absent key
+  /// once; Record stores what the caller priced and fills the rest.
+  void LookUp(StatementSlots* slots);
+  void Record(StatementSlots* slots);
+  /// Workload total of one probe whose statement s sits in slot
+  /// first + s * stride: the accumulation order of one scalar run.
+  CacheValue Total(int tenant, const simvm::ResourceVector& r,
+                   const StatementSlots& slots, size_t first,
+                   size_t stride) const;
   /// Inserts a computed value into cache + observation log. If another
   /// thread committed the key first, the existing entry wins (values are
   /// deterministic, so they agree) and no duplicate observation is
@@ -271,6 +295,9 @@ class WhatIfCostEstimator : public CostEstimator {
   simvm::PhysicalMachine machine_;
   WhatIfEstimatorOptions options_;
   std::vector<Tenant> tenants_;
+  /// statement_ids_[t][s]: memo id of tenant t's statement s.
+  std::vector<std::vector<uint32_t>> statement_ids_;
+  StatementMemo memo_;
   std::vector<std::vector<WhatIfObservation>> observations_;
   std::mutex observations_mu_;
   /// cache_shards_[t] holds tenant t's entries; grown by the constructor
@@ -286,6 +313,7 @@ class WhatIfCostEstimator : public CostEstimator {
   std::mutex batch_mu_;
   std::atomic<long> optimizer_calls_{0};
   std::atomic<long> cache_hits_{0};
+  std::atomic<long> statement_hits_{0};
 };
 
 }  // namespace vdba::advisor

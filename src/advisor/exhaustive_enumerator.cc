@@ -3,6 +3,7 @@
 #include <limits>
 #include <utility>
 
+#include "advisor/allocation.h"
 #include "util/check.h"
 
 namespace vdba::advisor {
@@ -63,40 +64,16 @@ SearchResult LocalSearchBatched(
   for (const auto& start : starts) {
     std::vector<simvm::ResourceVector> current = start;
     VDBA_CHECK(!current.empty());
-    const int dims = current.front().dims();
-    const int n = static_cast<int>(current.size());
     double current_obj = f({current}).front();
     ++best.evaluations;
     bool improved = true;
     int guard = 0;
     while (improved && guard++ < options.max_iterations) {
       improved = false;
-      // Materialize every feasible pairwise move (lower `from`, raise
-      // `to`, same dimension and step) and evaluate the whole frontier in
-      // one batched call — a parallel estimator fans it all out at once.
-      std::vector<std::vector<simvm::ResourceVector>> frontier;
-      for (int dim = 0; dim < dims; ++dim) {
-        if (!options.Allocates(dim)) continue;
-        const double delta = options.FinestDelta(dim);
-        for (int from = 0; from < n; ++from) {
-          if (!CanLower(current[static_cast<size_t>(from)], dim, delta,
-                        options.min_share)) {
-            continue;
-          }
-          for (int to = 0; to < n; ++to) {
-            if (from == to) continue;
-            if (!CanRaise(current[static_cast<size_t>(to)], dim, delta)) {
-              continue;
-            }
-            std::vector<simvm::ResourceVector> candidate = current;
-            candidate[static_cast<size_t>(from)] =
-                Lowered(candidate[static_cast<size_t>(from)], dim, delta);
-            candidate[static_cast<size_t>(to)] =
-                Raised(candidate[static_cast<size_t>(to)], dim, delta);
-            frontier.push_back(std::move(candidate));
-          }
-        }
-      }
+      // Every feasible pairwise move, evaluated in one batched call — a
+      // parallel estimator fans it all out at once.
+      std::vector<std::vector<simvm::ResourceVector>> frontier =
+          PairwiseFrontier(current, options);
       if (frontier.empty()) break;
       std::vector<double> objs = f(frontier);
       best.evaluations += static_cast<long>(frontier.size());

@@ -28,6 +28,7 @@ TableId Catalog::AddTable(TableDef table) {
   VDBA_CHECK_GT(table.rows, 0.0);
   VDBA_CHECK_GT(table.row_width_bytes, 0.0);
   VDBA_CHECK_LT(tables_.size(), kMaxCatalogIds);
+  table_pages_.push_back(table.Pages());
   tables_.push_back(std::move(table));
   return static_cast<TableId>(tables_.size() - 1);
 }
@@ -36,20 +37,12 @@ IndexId Catalog::AddIndex(IndexDef index) {
   VDBA_CHECK_GE(index.table, 0);
   VDBA_CHECK_LT(static_cast<size_t>(index.table), tables_.size());
   VDBA_CHECK_LT(indexes_.size(), kMaxCatalogIds);
+  const double rows = tables_[static_cast<size_t>(index.table)].rows;
+  const double leaves = rows / kIndexEntriesPerLeafPage;
+  index_leaf_pages_.push_back(leaves < 1.0 ? 1.0 : leaves);
+  index_heights_.push_back(IndexDef::HeightForRows(rows));
   indexes_.push_back(std::move(index));
   return static_cast<IndexId>(indexes_.size() - 1);
-}
-
-const TableDef& Catalog::table(TableId id) const {
-  VDBA_CHECK_GE(id, 0);
-  VDBA_CHECK_LT(static_cast<size_t>(id), tables_.size());
-  return tables_[static_cast<size_t>(id)];
-}
-
-const IndexDef& Catalog::index(IndexId id) const {
-  VDBA_CHECK_GE(id, 0);
-  VDBA_CHECK_LT(static_cast<size_t>(id), indexes_.size());
-  return indexes_[static_cast<size_t>(id)];
 }
 
 StatusOr<TableId> Catalog::FindTable(const std::string& name) const {
@@ -68,20 +61,9 @@ IndexId Catalog::FindIndex(TableId table, const std::string& column) const {
   return kInvalidIndex;
 }
 
-double Catalog::IndexLeafPages(IndexId id) const {
-  const IndexDef& idx = index(id);
-  double leaves = table(idx.table).rows / kIndexEntriesPerLeafPage;
-  return leaves < 1.0 ? 1.0 : leaves;
-}
-
-int Catalog::IndexHeight(IndexId id) const {
-  const IndexDef& idx = index(id);
-  return IndexDef::HeightForRows(table(idx.table).rows);
-}
-
 double Catalog::TotalPages() const {
   double total = 0.0;
-  for (const auto& t : tables_) total += t.Pages();
+  for (double pages : table_pages_) total += pages;
   return total;
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "simdb/types.h"
+#include "util/check.h"
 #include "util/status.h"
 
 namespace vdba::simdb {
@@ -55,7 +56,9 @@ struct IndexDef {
 inline constexpr size_t kMaxCatalogIds = 64;
 
 /// An immutable collection of tables and indexes. Engines hold a Catalog
-/// per database instance (e.g. TPC-H SF1, TPC-H SF10, TPC-C 10wh).
+/// per database instance (e.g. TPC-H SF1, TPC-H SF10, TPC-C 10wh). The
+/// derived page counts and heights are computed once, at registration:
+/// the optimizer's costing walk reads them for every candidate plan.
 class Catalog {
  public:
   Catalog() = default;
@@ -66,8 +69,12 @@ class Catalog {
   /// Registers an index; returns its id (below kMaxCatalogIds).
   IndexId AddIndex(IndexDef index);
 
-  const TableDef& table(TableId id) const;
-  const IndexDef& index(IndexId id) const;
+  const TableDef& table(TableId id) const {
+    return tables_[CheckedTable(id)];
+  }
+  const IndexDef& index(IndexId id) const {
+    return indexes_[CheckedIndex(id)];
+  }
   size_t num_tables() const { return tables_.size(); }
   size_t num_indexes() const { return indexes_.size(); }
 
@@ -77,19 +84,40 @@ class Catalog {
   /// First index on (table, column), or kInvalidIndex.
   IndexId FindIndex(TableId table, const std::string& column) const;
 
+  /// Heap pages of a table (TableDef::Pages).
+  double TablePages(TableId id) const {
+    return table_pages_[CheckedTable(id)];
+  }
+
   /// Leaf pages of an index (entries are ~20 bytes).
-  double IndexLeafPages(IndexId id) const;
+  double IndexLeafPages(IndexId id) const {
+    return index_leaf_pages_[CheckedIndex(id)];
+  }
 
   /// B-tree height of an index.
-  int IndexHeight(IndexId id) const;
+  int IndexHeight(IndexId id) const { return index_heights_[CheckedIndex(id)]; }
 
   /// Total data pages across all tables (used to size buffer pools and the
   /// paper-style "database size" reporting).
   double TotalPages() const;
 
  private:
+  size_t CheckedTable(TableId id) const {
+    VDBA_CHECK_GE(id, 0);
+    VDBA_CHECK_LT(static_cast<size_t>(id), tables_.size());
+    return static_cast<size_t>(id);
+  }
+  size_t CheckedIndex(IndexId id) const {
+    VDBA_CHECK_GE(id, 0);
+    VDBA_CHECK_LT(static_cast<size_t>(id), indexes_.size());
+    return static_cast<size_t>(id);
+  }
+
   std::vector<TableDef> tables_;
   std::vector<IndexDef> indexes_;
+  std::vector<double> table_pages_;       ///< per table
+  std::vector<double> index_leaf_pages_;  ///< per index
+  std::vector<int> index_heights_;        ///< per index
 };
 
 }  // namespace vdba::simdb

@@ -14,8 +14,6 @@ namespace vdba::simdb {
 
 namespace {
 
-constexpr int kMaxRelations = 12;
-
 /// Join-graph probes shared by the scalar and grid searches; both are
 /// functions of the query alone, never of the parameter vector.
 bool HasCrossEdge(const QuerySpec& query, RelMask left, RelMask right) {

@@ -101,7 +101,7 @@ class ActivityWalker {
 
   Sig SeqScan(const PlanNode& node, Activity* act) {
     const TableDef& t = catalog_.table(node.table);
-    double pages = t.Pages() * cold_miss_;
+    double pages = catalog_.TablePages(node.table) * cold_miss_;
     act->seq_pages += pages;
     // Remote/replicated tables: every page actually read (cache misses
     // only — cached pages do not re-ship) also traverses the network.
@@ -116,16 +116,17 @@ class ActivityWalker {
     const TableDef& t = catalog_.table(node.table);
     const IndexDef& idx = catalog_.index(node.index);
     double rows_sel = t.rows * node.scan_selectivity;
+    double table_pages = catalog_.TablePages(node.table);
     double descent = catalog_.IndexHeight(node.index);
     double leaf = catalog_.IndexLeafPages(node.index) * node.scan_selectivity;
     double read_pages = (descent + leaf) * cold_miss_;
     act->rand_pages += read_pages;
     if (idx.clustered) {
-      double heap_pages = t.Pages() * node.scan_selectivity * cold_miss_;
+      double heap_pages = table_pages * node.scan_selectivity * cold_miss_;
       act->seq_pages += heap_pages;
       read_pages += heap_pages;
     } else {
-      double heap_fetches = rows_sel < t.Pages() ? rows_sel : t.Pages();
+      double heap_fetches = rows_sel < table_pages ? rows_sel : table_pages;
       act->rand_pages += heap_fetches * cold_miss_;
       read_pages += heap_fetches * cold_miss_;
     }
@@ -162,7 +163,8 @@ class ActivityWalker {
     double descent = catalog_.IndexHeight(node.inner_index);
     double leaf_bytes = catalog_.IndexLeafPages(node.inner_index) *
                         kPageSizeBytes;
-    double structure_bytes = t.Pages() * kPageSizeBytes + leaf_bytes;
+    double structure_bytes =
+        catalog_.TablePages(inner.table) * kPageSizeBytes + leaf_bytes;
     double pages_per_probe = descent + matches;
     double probe_pages = probes * pages_per_probe * ProbeMiss(structure_bytes);
     act->rand_pages += probe_pages;
@@ -392,7 +394,7 @@ double PlanWorkingSetBytes(const Catalog& catalog, const PlanNode& plan) {
   // summation order matches a sorted, deduplicated walk of the subtree.
   double bytes = 0.0;
   for (uint64_t m = plan.table_mask; m != 0; m &= m - 1) {
-    bytes += catalog.table(std::countr_zero(m)).Pages() * kPageSizeBytes;
+    bytes += catalog.TablePages(std::countr_zero(m)) * kPageSizeBytes;
   }
   for (uint64_t m = plan.index_mask; m != 0; m &= m - 1) {
     bytes += catalog.IndexLeafPages(std::countr_zero(m)) * kPageSizeBytes;

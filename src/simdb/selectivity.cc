@@ -19,6 +19,15 @@ CardinalityModel::CardinalityModel(const Catalog& catalog,
     // simplification.
     widths_.push_back(t.row_width_bytes * 0.5);
   }
+  all_ = static_cast<RelMask>((1u << num_relations()) - 1u);
+  if (num_relations() <= kMaxRelations) {
+    subset_rows_.resize(size_t{all_} + 1);
+    row_widths_.resize(size_t{all_} + 1);
+    for (RelMask mask = 0; mask <= all_; ++mask) {
+      subset_rows_[mask] = ComputeSubsetRows(mask);
+      row_widths_[mask] = ComputeRowWidth(mask);
+    }
+  }
 }
 
 double CardinalityModel::BaseRows(int rel) const {
@@ -27,7 +36,7 @@ double CardinalityModel::BaseRows(int rel) const {
   return base_rows_[static_cast<size_t>(rel)];
 }
 
-double CardinalityModel::SubsetRows(RelMask mask) const {
+double CardinalityModel::ComputeSubsetRows(RelMask mask) const {
   double rows = 1.0;
   for (int i = 0; i < num_relations(); ++i) {
     if (mask & (1u << i)) rows *= base_rows_[static_cast<size_t>(i)];
@@ -71,8 +80,7 @@ bool CardinalityModel::Connected(RelMask mask) const {
 }
 
 double CardinalityModel::JoinRows() const {
-  RelMask all = (1u << num_relations()) - 1u;
-  return SubsetRows(all);
+  return SubsetRows(all_);
 }
 
 double CardinalityModel::RowsAfterAggregate() const {
@@ -100,7 +108,7 @@ double CardinalityModel::ResultRows() const {
   return rows;
 }
 
-double CardinalityModel::RowWidth(RelMask mask) const {
+double CardinalityModel::ComputeRowWidth(RelMask mask) const {
   double width = 0.0;
   for (int i = 0; i < num_relations(); ++i) {
     if (mask & (1u << i)) width += widths_[static_cast<size_t>(i)];

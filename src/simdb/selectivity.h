@@ -19,7 +19,12 @@ namespace vdba::simdb {
 /// Bitmask over the query's relations (bit i = relations[i] included).
 using RelMask = uint32_t;
 
+/// Most relations the optimizer's join DPs accept in one query.
+inline constexpr int kMaxRelations = 12;
+
 /// Cardinality and width estimates for one query against one catalog.
+/// For queries the join DPs accept (at most kMaxRelations relations),
+/// SubsetRows and RowWidth are tabulated for every mask at construction.
 class CardinalityModel {
  public:
   CardinalityModel(const Catalog& catalog, const QuerySpec& query);
@@ -30,7 +35,10 @@ class CardinalityModel {
   /// Rows produced by joining exactly the relations in `mask`
   /// (product of base rows times the selectivity of every join edge whose
   /// endpoints are both inside the mask).
-  double SubsetRows(RelMask mask) const;
+  double SubsetRows(RelMask mask) const {
+    return subset_rows_.empty() ? ComputeSubsetRows(mask)
+                                : subset_rows_[mask & all_];
+  }
 
   /// Whether the relations of `mask` form a connected subgraph of the join
   /// graph (single relations are connected).
@@ -46,14 +54,24 @@ class CardinalityModel {
   double ResultRows() const;
 
   /// Average output row width for a joined subset, in bytes.
-  double RowWidth(RelMask mask) const;
+  double RowWidth(RelMask mask) const {
+    return row_widths_.empty() ? ComputeRowWidth(mask)
+                               : row_widths_[mask & all_];
+  }
 
   int num_relations() const { return static_cast<int>(base_rows_.size()); }
 
  private:
+  double ComputeSubsetRows(RelMask mask) const;
+  double ComputeRowWidth(RelMask mask) const;
+
   const QuerySpec& query_;
   std::vector<double> base_rows_;
   std::vector<double> widths_;
+  RelMask all_ = 0;  ///< every relation's bit
+  /// Per-mask tables (empty above kMaxRelations relations).
+  std::vector<double> subset_rows_;
+  std::vector<double> row_widths_;
 };
 
 }  // namespace vdba::simdb

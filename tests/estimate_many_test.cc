@@ -111,15 +111,15 @@ TEST_F(EstimateManyTest, MatchesSequentialForAnyThreadCount) {
 TEST_F(EstimateManyTest, SameAllocationDistinctTenantsComputedPerTenant) {
   WhatIfCostEstimator est(tb_.machine(), tenants_);
   // The same allocation tagged with different tenants is a distinct cache
-  // key per tenant: each costs its own optimizer calls.
+  // key per tenant. Optimizer calls follow distinct (engine, statement,
+  // params) keys: tenants 0 and 2 share an engine and a calibration, so
+  // their parameter vectors agree, but no statement; tenant 1's Q17 runs
+  // on the DB2 engine. 5 + 1 + 2 keys, none shared.
   std::vector<TenantAllocation> batch = {
       {0, {0.5, 0.5}}, {1, {0.5, 0.5}}, {2, {0.5, 0.5}}};
   est.EstimateMany(batch);
-  long expected_calls = 0;
-  for (const Tenant& t : tenants_) {
-    expected_calls += static_cast<long>(t.workload.statements.size());
-  }
-  EXPECT_EQ(est.optimizer_calls(), expected_calls);
+  EXPECT_EQ(est.optimizer_calls(), 8);
+  EXPECT_EQ(est.statement_hits(), 0);
   EXPECT_EQ(est.cache_hits(), 0);
   for (int t = 0; t < est.num_tenants(); ++t) {
     EXPECT_EQ(est.observations(t).size(), 1u);
@@ -141,10 +141,11 @@ TEST_F(EstimateManyTest, MixedCachedAndUncachedAcrossTenants) {
   std::vector<double> got = est.EstimateMany(batch);
   EXPECT_DOUBLE_EQ(got[0], got[4]);
   EXPECT_DOUBLE_EQ(got[1], got[2]);
-  long new_calls =
-      static_cast<long>(tenants_[0].workload.statements.size()) +
-      static_cast<long>(tenants_[2].workload.statements.size());
-  EXPECT_EQ(est.optimizer_calls() - calls_before, new_calls);
+  // Distinct new (engine, statement, params) keys: tenant 0's five
+  // statements and tenant 2's two at {0.3, 0.5}; the duplicate probe is a
+  // cache hit, not a statement hit.
+  EXPECT_EQ(est.optimizer_calls() - calls_before, 7);
+  EXPECT_EQ(est.statement_hits(), 0);
   EXPECT_EQ(est.cache_hits(), 3);
   EXPECT_EQ(est.observations(0).size(), 1u);
   EXPECT_EQ(est.observations(2).size(), 1u);
@@ -222,6 +223,7 @@ TEST_F(EstimateManyTest, SetWorkloadInvalidatesOnlyThatTenantAfterFanOut) {
   const double t1_before = est.EstimateSeconds(1, {0.5, 0.5});
   const long calls_before = est.optimizer_calls();
   const long hits_before = est.cache_hits();
+  const long statement_hits_before = est.statement_hits();
 
   simdb::Workload heavier;
   heavier.AddStatement(workload::TpchQuery(tb_.tpch_sf1(), 17), 30.0);
@@ -233,14 +235,16 @@ TEST_F(EstimateManyTest, SetWorkloadInvalidatesOnlyThatTenantAfterFanOut) {
   EXPECT_EQ(est.observations(2).size(), obs2);
 
   // Re-probing the whole frontier: tenant 1's probes are cache misses
-  // again (fresh optimizer calls under the new workload), the other
-  // tenants' replay purely from cache.
+  // again, the other tenants' replay purely from cache. The new workload
+  // re-weights the same Q17 on the same engine, so every statement of
+  // those misses is already in the statement memo: no optimizer call.
   std::vector<TenantAllocation> frontier = Frontier();
   size_t tenant1_distinct = 0;
   est.EstimateMany(frontier);
   tenant1_distinct = est.observations(1).size();
   EXPECT_GT(tenant1_distinct, 0u);
-  EXPECT_EQ(est.optimizer_calls() - calls_before,
+  EXPECT_EQ(est.optimizer_calls() - calls_before, 0);
+  EXPECT_EQ(est.statement_hits() - statement_hits_before,
             static_cast<long>(tenant1_distinct) *
                 static_cast<long>(heavier.statements.size()));
   // Every non-tenant-1 probe of the frontier was a cache hit.
