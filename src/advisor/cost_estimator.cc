@@ -113,16 +113,27 @@ void WhatIfCostEstimator::LookUp(StatementSlots* slots) {
       if (!memo.Find(slots->keys[i], &slots->values[i])) missing.push_back(i);
     }
   }
-  // Equal keys sort next to each other, first slot first: price that one
-  // and copy it to the rest.
+  // Equal keys share (statement, tag) and sort together, lowest slot
+  // first: price that slot and copy it to the others. Tags rarely
+  // collide, so a run is almost always a single key.
   const std::vector<StatementMemo::Key>& keys = slots->keys;
-  std::stable_sort(missing.begin(), missing.end(),
-                   [&](size_t a, size_t b) { return keys[a] < keys[b]; });
-  for (size_t i = 0; i < missing.size(); ++i) {
-    if (i > 0 && keys[missing[i]] == keys[slots->absent.back()]) {
-      slots->copies.emplace_back(missing[i], slots->absent.back());
-    } else {
-      slots->absent.push_back(missing[i]);
+  std::vector<std::pair<uint64_t, size_t>> order;
+  order.reserve(missing.size());
+  for (size_t i : missing) {
+    order.emplace_back(keys[i].head(), i);
+  }
+  std::sort(order.begin(), order.end());
+  for (size_t run = 0, end = 0; run < order.size(); run = end) {
+    while (end < order.size() && order[end].first == order[run].first) ++end;
+    for (size_t j = run; j < end; ++j) {
+      const size_t i = order[j].second;
+      size_t k = run;
+      while (k < j && keys[order[k].second] != keys[i]) ++k;
+      if (k < j) {
+        slots->copies.emplace_back(i, order[k].second);
+      } else {
+        slots->absent.push_back(i);
+      }
     }
   }
   std::sort(slots->absent.begin(), slots->absent.end());
@@ -460,6 +471,10 @@ void WhatIfCostEstimator::ReplaceTenant(int tenant, Tenant replacement) {
   VDBA_CHECK_GE(tenant, 0);
   VDBA_CHECK_LT(static_cast<size_t>(tenant), tenants_.size());
   ValidateTenant(replacement);
+  // Intern before releasing, so a tenant put back into the slot it just
+  // left (a rejected migration's rollback) keeps its memo entries. The old
+  // engine is never dereferenced and may already be destroyed; statements
+  // are keyed by engine id, so a new engine at its address matches none.
   std::vector<uint32_t> ids =
       memo_.Intern(replacement.engine, replacement.workload);
   memo_.Release(statement_ids_[static_cast<size_t>(tenant)]);

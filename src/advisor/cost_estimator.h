@@ -215,6 +215,9 @@ class WhatIfCostEstimator : public CostEstimator {
   /// Replaces tenant `tenant` wholesale (engine, calibration, workload,
   /// QoS) and invalidates its cache entries and observation log — the
   /// slot-reuse primitive for departed tenants in a long-lived estimator.
+  /// The old tenant's engine may be destroyed before this call, as long as
+  /// the slot is not estimated in between; its statements stay interned
+  /// until then.
   void ReplaceTenant(int tenant, Tenant replacement);
 
   /// Observation log for one tenant (insertion order).

@@ -1,5 +1,7 @@
 #include "simdb/engine.h"
 
+#include <atomic>
+
 #include "simdb/cost_model_db2.h"
 #include "simdb/cost_model_pg.h"
 #include "util/check.h"
@@ -15,6 +17,8 @@ std::unique_ptr<CostModel> MakeCostModel(EngineFlavor flavor,
   }
   return std::make_unique<Db2CostModel>(weights);
 }
+
+std::atomic<uint64_t> next_engine_id{0};
 
 }  // namespace
 
@@ -39,7 +43,8 @@ DbEngine::DbEngine(std::string name, EngineFlavor flavor, Catalog catalog)
 
 DbEngine::DbEngine(std::string name, EngineFlavor flavor, Catalog catalog,
                    ExecutionProfile profile)
-    : name_(std::move(name)),
+    : id_(next_engine_id.fetch_add(1, std::memory_order_relaxed)),
+      name_(std::move(name)),
       flavor_(flavor),
       catalog_(std::move(catalog)),
       cost_model_(MakeCostModel(flavor, profile.weights)),

@@ -11,6 +11,7 @@
 #ifndef VDBA_SIMDB_ENGINE_H_
 #define VDBA_SIMDB_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -38,6 +39,9 @@ class DbEngine {
   DbEngine& operator=(const DbEngine&) = delete;
 
   const std::string& name() const { return name_; }
+  /// Process-unique and never reused, unlike the engine's address: an
+  /// engine built where a destroyed one lived gets a new id.
+  uint64_t id() const { return id_; }
   EngineFlavor flavor() const { return flavor_; }
   const Catalog& catalog() const { return catalog_; }
   const CostModel& cost_model() const { return *cost_model_; }
@@ -69,6 +73,7 @@ class DbEngine {
  private:
   static ExecutionProfile DefaultProfile(EngineFlavor flavor);
 
+  uint64_t id_;
   std::string name_;
   EngineFlavor flavor_;
   Catalog catalog_;

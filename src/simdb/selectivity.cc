@@ -8,25 +8,38 @@ CardinalityModel::CardinalityModel(const Catalog& catalog,
                                    const QuerySpec& query)
     : query_(query) {
   VDBA_CHECK(!query.relations.empty());
-  VDBA_CHECK_LE(query.relations.size(), 20u);
+  VDBA_CHECK_LE(query.relations.size(), size_t{kMaxRelations});
+  std::vector<double> widths;
   base_rows_.reserve(query.relations.size());
-  widths_.reserve(query.relations.size());
+  widths.reserve(query.relations.size());
   for (const RelationRef& rel : query.relations) {
     const TableDef& t = catalog.table(rel.table);
     double rows = t.rows * rel.filter_selectivity;
     base_rows_.push_back(rows < 1.0 ? 1.0 : rows);
     // Joins project a subset of columns; half the base width is a standard
     // simplification.
-    widths_.push_back(t.row_width_bytes * 0.5);
+    widths.push_back(t.row_width_bytes * 0.5);
   }
+  // Every mask's row count and width, tabulated once.
   all_ = static_cast<RelMask>((1u << num_relations()) - 1u);
-  if (num_relations() <= kMaxRelations) {
-    subset_rows_.resize(size_t{all_} + 1);
-    row_widths_.resize(size_t{all_} + 1);
-    for (RelMask mask = 0; mask <= all_; ++mask) {
-      subset_rows_[mask] = ComputeSubsetRows(mask);
-      row_widths_[mask] = ComputeRowWidth(mask);
+  subset_rows_.resize(size_t{all_} + 1);
+  row_widths_.resize(size_t{all_} + 1);
+  for (RelMask mask = 0; mask <= all_; ++mask) {
+    double rows = 1.0;
+    double width = 0.0;
+    for (int i = 0; i < num_relations(); ++i) {
+      if (mask & (1u << i)) {
+        rows *= base_rows_[static_cast<size_t>(i)];
+        width += widths[static_cast<size_t>(i)];
+      }
     }
+    for (const JoinPredicate& j : query.joins) {
+      bool l = mask & (1u << j.left_rel);
+      bool r = mask & (1u << j.right_rel);
+      if (l && r) rows *= j.selectivity;
+    }
+    subset_rows_[mask] = rows < 1.0 ? 1.0 : rows;
+    row_widths_[mask] = width < 16.0 ? 16.0 : width;
   }
 }
 
@@ -34,19 +47,6 @@ double CardinalityModel::BaseRows(int rel) const {
   VDBA_CHECK_GE(rel, 0);
   VDBA_CHECK_LT(static_cast<size_t>(rel), base_rows_.size());
   return base_rows_[static_cast<size_t>(rel)];
-}
-
-double CardinalityModel::ComputeSubsetRows(RelMask mask) const {
-  double rows = 1.0;
-  for (int i = 0; i < num_relations(); ++i) {
-    if (mask & (1u << i)) rows *= base_rows_[static_cast<size_t>(i)];
-  }
-  for (const JoinPredicate& j : query_.joins) {
-    bool l = mask & (1u << j.left_rel);
-    bool r = mask & (1u << j.right_rel);
-    if (l && r) rows *= j.selectivity;
-  }
-  return rows < 1.0 ? 1.0 : rows;
 }
 
 bool CardinalityModel::Connected(RelMask mask) const {
@@ -106,14 +106,6 @@ double CardinalityModel::ResultRows() const {
     rows = query_.limit_rows;
   }
   return rows;
-}
-
-double CardinalityModel::ComputeRowWidth(RelMask mask) const {
-  double width = 0.0;
-  for (int i = 0; i < num_relations(); ++i) {
-    if (mask & (1u << i)) width += widths_[static_cast<size_t>(i)];
-  }
-  return width < 16.0 ? 16.0 : width;
 }
 
 }  // namespace vdba::simdb

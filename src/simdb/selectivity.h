@@ -22,9 +22,9 @@ using RelMask = uint32_t;
 /// Most relations the optimizer's join DPs accept in one query.
 inline constexpr int kMaxRelations = 12;
 
-/// Cardinality and width estimates for one query against one catalog.
-/// For queries the join DPs accept (at most kMaxRelations relations),
-/// SubsetRows and RowWidth are tabulated for every mask at construction.
+/// Cardinality and width estimates for one query against one catalog, of
+/// at most kMaxRelations relations. SubsetRows and RowWidth are tabulated
+/// for every mask at construction.
 class CardinalityModel {
  public:
   CardinalityModel(const Catalog& catalog, const QuerySpec& query);
@@ -36,8 +36,7 @@ class CardinalityModel {
   /// (product of base rows times the selectivity of every join edge whose
   /// endpoints are both inside the mask).
   double SubsetRows(RelMask mask) const {
-    return subset_rows_.empty() ? ComputeSubsetRows(mask)
-                                : subset_rows_[mask & all_];
+    return subset_rows_[mask];
   }
 
   /// Whether the relations of `mask` form a connected subgraph of the join
@@ -55,21 +54,16 @@ class CardinalityModel {
 
   /// Average output row width for a joined subset, in bytes.
   double RowWidth(RelMask mask) const {
-    return row_widths_.empty() ? ComputeRowWidth(mask)
-                               : row_widths_[mask & all_];
+    return row_widths_[mask];
   }
 
   int num_relations() const { return static_cast<int>(base_rows_.size()); }
 
  private:
-  double ComputeSubsetRows(RelMask mask) const;
-  double ComputeRowWidth(RelMask mask) const;
-
   const QuerySpec& query_;
   std::vector<double> base_rows_;
-  std::vector<double> widths_;
   RelMask all_ = 0;  ///< every relation's bit
-  /// Per-mask tables (empty above kMaxRelations relations).
+  /// Indexed by mask.
   std::vector<double> subset_rows_;
   std::vector<double> row_widths_;
 };

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -227,6 +228,54 @@ TEST_F(StatementMemoTest, SetWorkloadAndReplaceTenantKeepExactValues) {
   est.ReplaceTenant(1, tb_->MakeTenant(tb_->pg_sf1(), Mix({6}, 7.0)));
   ExpectExact(&est, 1, r);
   EXPECT_EQ(est.optimizer_calls(), calls);
+}
+
+TEST_F(StatementMemoTest, AnEngineBuiltAtAFreedEnginesAddressIsNotAliased) {
+  // Slot 1's engine is destroyed while the slot still holds its statements
+  // (a departed tenant), and a different engine (SF10) is built at the
+  // same address before the slot is reused.
+  std::optional<simdb::DbEngine> engine;
+  engine.emplace("pg-a", simdb::EngineFlavor::kPostgres,
+                 tb_->tpch_sf1().catalog);
+  const simdb::DbEngine* address = &*engine;
+  std::vector<Tenant> tenants = {
+      tb_->MakeTenant(tb_->pg_sf1(), Mix({12}, 1.0)),
+      tb_->MakeTenant(*engine, Mix({1, 6}, 1.0))};
+  WhatIfCostEstimator est(machine(), tenants);
+  const ResourceVector r{0.45, 0.55};
+  ExpectExact(&est, 1, r);
+  est.InvalidateTenant(1);
+  engine.reset();
+  engine.emplace("pg-b", simdb::EngineFlavor::kPostgres,
+                 tb_->tpch_sf10().catalog);
+  ASSERT_EQ(&*engine, address);
+
+  const long calls = est.optimizer_calls();
+  est.ReplaceTenant(1, tb_->MakeTenant(*engine, Mix({1, 6}, 1.0)));
+  ExpectExact(&est, 1, r);
+  EXPECT_EQ(est.optimizer_calls(), calls + 2);
+}
+
+TEST_F(StatementMemoTest, RetiredIdsAreReusedWithoutTheirEntries) {
+  StatementMemo memo;
+  const simdb::EngineParams params = tb_->pg_sf1().DefaultParams();
+  const std::vector<uint32_t> q1 = memo.Intern(&tb_->pg_sf1(), Mix({1}, 1.0));
+  const std::vector<uint32_t> q6 = memo.Intern(&tb_->pg_sf1(), Mix({6}, 1.0));
+  ASSERT_EQ(q1.size(), 1u);
+  memo.Lock().Insert(StatementMemo::MakeKey(q1[0], params), 1.0, "a");
+  memo.Lock().Insert(StatementMemo::MakeKey(q6[0], params), 6.0, "b");
+  memo.Release(q1);
+
+  // Q14 takes Q1's retired id, and Q1's entry is gone with it.
+  const std::vector<uint32_t> q14 =
+      memo.Intern(&tb_->pg_sf1(), Mix({14}, 1.0));
+  EXPECT_EQ(q14, q1);
+  StatementMemo::Value value;
+  EXPECT_FALSE(memo.Lock().Find(StatementMemo::MakeKey(q14[0], params),
+                                &value));
+  ASSERT_TRUE(memo.Lock().Find(StatementMemo::MakeKey(q6[0], params), &value));
+  EXPECT_EQ(value.native_cost, 6.0);
+  EXPECT_EQ(*value.signature, "b");
 }
 
 TEST_F(StatementMemoTest, EvictionPastTheCapKeepsValuesExact) {
